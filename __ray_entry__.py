@@ -1632,7 +1632,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def bm25_topk_fuzzy(sf_dir):
         """Fuzzy search: each query term -> its Levenshtein<=1 vocab
         neighborhood (FastSS deletion index over the term dictionary), scored
-        through the unchanged expanded slot-MaxScore path."""
+        through the unchanged expanded_topk path."""
         from engine.query import Bm25Index
 
         bm = Bm25Index(_documents_index(sf_dir))

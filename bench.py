@@ -1,8 +1,8 @@
 """Headline benchmark: index-build throughput (turns/sec) + BM25 query latency.
 
 Runs the flagship pipelines over $GRAFT_SF_DIR (default /root/testdata/sf0.1)
-with ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or 32) and prints ONE
-JSON line:
+with ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or os.cpu_count())
+and prints ONE JSON line:
 
   {"metric": "...", "value": <headline seconds>, "unit": "sec",
    "queries": {...per-pipeline seconds...}, "sf": ..., "num_cpus": N,
@@ -37,7 +37,7 @@ REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1)
 BENCH_CONVS = int(os.environ.get("GRAFT_BENCH_CONVS", "60000"))  # ~ 1.3M turns
 
 
@@ -60,10 +60,10 @@ def _capacity_probe(levels: tuple[int, ...] = ()) -> dict:
 def run_bench() -> dict:
     import ray
 
-    # cheap 2-level probe (~15s, untimed) bracketing the timed region;
-    # GRAFT_BENCH_PROBES=0 skips it (run_scaling keeps its legs back-to-back
+    # opt-in (GRAFT_BENCH_PROBES=1): a cheap 2-level probe (~15s, untimed)
+    # bracketing the timed region (run_scaling keeps its legs back-to-back
     # and probes the full level set around the whole pair loop instead)
-    do_probe = os.environ.get("GRAFT_BENCH_PROBES", "1") != "0"
+    do_probe = os.environ.get("GRAFT_BENCH_PROBES", "0") == "1"
     probe_pre = _capacity_probe((2, 8)) if do_probe else {}
 
     ray.init(

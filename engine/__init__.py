@@ -9,7 +9,7 @@ idiomatic Ray Data execution:
 - ``engine.codec``     — delta+varint posting compression (ColferCodec analog)
 - ``engine.segments``  — packed posting segments + manifests (ffindex analog)
 - ``engine.build``     — SPIMI build pipeline (StrucmotifUpdate ADD analog)
-- ``engine.query``     — BM25 top-k with rarest-first + block-max pruning
+- ``engine.query``     — exact BM25 top-k, rarest-first conjunctive AND
                          (DefaultTargetAssembler / DefaultStrucmotifRuntime analog)
 - ``engine.oracle``    — pure-Python single-process reference implementation
 - ``engine.state``     — lineage manifests, checkpoint/resume (known.list analog)

@@ -365,32 +365,20 @@ def _build_dl_lookup(docmap_dir: str):
 class _SegmentWriter:
     """Callable: one part's rows -> encoded segment file + manifest.
 
-    ``dl_ref``: broadcast docmap lookup (ids_sorted_or_None, dl_values) for
-    the slim exchange (rows carry no ``dl`` column); resolved lazily once per
-    task via zero-copy ``ray.get``. ``n_buckets`` reconstitutes the per-part
-    constant salt when rows carry no ``salt`` column."""
+    ``n_buckets`` reconstitutes the per-part constant salt when rows carry
+    no ``salt`` column."""
 
-    def __init__(self, index_dir: str, avgdl: float, dl_ref=None, n_buckets: int | None = None,
-                 codec: str = "varint"):
+    def __init__(self, index_dir: str, n_buckets: int | None = None, codec: str = "varint"):
         self.index_dir = index_dir
-        self.avgdl = avgdl
-        self.dl_ref = dl_ref
         self.n_buckets = n_buckets
         self.codec = codec
-        self._dl_lookup = None
 
     def __call__(self, group: pa.Table, part: int | None = None) -> pa.Table:
         if part is None:
             part = int(group["part"][0].as_py())
-        dl_lookup = None
-        if "dl" not in group.column_names and self.dl_ref is not None:
-            if self._dl_lookup is None:
-                self._dl_lookup = ray.get(self.dl_ref)
-            dl_lookup = self._dl_lookup
         salt_const = part // self.n_buckets if self.n_buckets else None
         t0 = time.perf_counter()
-        seg = encode_bucket(group, self.avgdl, dl_lookup=dl_lookup, salt_const=salt_const,
-                            codec=self.codec)
+        seg = encode_bucket(group, salt_const=salt_const, codec=self.codec)
         encode_sec = time.perf_counter() - t0
         path = state.segment_path(self.index_dir, part)
         tmp = path + ".tmp"
@@ -584,15 +572,11 @@ def build_index(
                 docmap_fn(pa.table(cols)),
                 os.path.join(docmap_dir, "docmap-0000.parquet"),
             )
-    # sharded (doc_id, dl) lookup (VERDICT r2 #4): one Ray task per docmap
-    # file reads + sorts its shard and KEEPS the arrays in the object store;
-    # the driver folds only O(#files) metadata rows (n, min/max id, dl sum)
-    # for the global stats — no O(n_docs) driver allocation and no single
-    # O(n_docs) object. Encode tasks gather dl shard-by-shard (plasma-cached
-    # per node). When shard id-ranges overlap (docmap written from a
-    # conv-interleaved layout), a worker-side merge task falls back to the
-    # legacy single sorted lookup — still assembled off-driver.
-    dl_ref, n_docs, avgdl, ids_fit_int32, _dlmeta = _build_dl_lookup(docmap_dir)
+    # global stats from the docmap (VERDICT r2 #4): one Ray task per docmap
+    # file reads its shard; the driver folds only O(#files) metadata rows
+    # (n, min/max id, dl sum) — no O(n_docs) driver allocation. Segments
+    # store no length-dependent data, so the encoders never read dl.
+    _dl_ref, n_docs, avgdl, ids_fit_int32, _dlmeta = _build_dl_lookup(docmap_dir)
     if not os.path.exists(docmap_marker):
         state.atomic_write_bytes(
             json.dumps({"n_docs": n_docs, "avgdl": avgdl}).encode(), docmap_marker
@@ -675,9 +659,9 @@ def build_index(
     # same assumption groupby().map_groups makes; n_buckets controls it.
     done = set(state.committed_parts(index_dir)) if resume else set()
     n_parts_total = n_buckets * n_salts
-    # slim exchange rows: (term, doc_id, tf, part) only — dl resolves from the
-    # broadcast docmap at encode time, salt is constant per part. Tokenize and
-    # route are consecutive map_batches, fused into ONE task by Ray Data (one
+    # slim exchange rows: (term, doc_id, tf, part) only — the encoder needs
+    # no dl, and salt is constant per part. Tokenize and route are
+    # consecutive map_batches, fused into ONE task by Ray Data (one
     # object-store write for the routed rows).
     # int32 docIDs in the exchange: guaranteed by the docmap's ACTUAL id
     # range (dense transcripts ids satisfy it whenever n_docs < 2^31; sparse
@@ -745,8 +729,7 @@ def build_index(
             out.append(sl.set_column(term_idx, "term", compacted))
         return tuple(out)
 
-    writer = _SegmentWriter(index_dir, avgdl, dl_ref=dl_ref, n_buckets=n_buckets,
-                            codec=postings_codec)
+    writer = _SegmentWriter(index_dir, n_buckets=n_buckets, codec=postings_codec)
 
     @ray.remote
     def encode_part(part: int, *tables):

@@ -201,7 +201,7 @@ class Pfor128Codec:
       [unsigned LEB128 varints for the < 128 tail values]
 
     Every 128-aligned value index is a decode entry point (block starts),
-    which is exactly the alignment of the segment block-max skip structure
+    which is exactly the alignment of the segment skip-pointer blocks
     (schema.BLOCK_SIZE == 128): ``decode_block`` unpacks one FOR block
     (n_values == 128) or the varint tail (n_values < 128). Encode and decode
     are vectorized across blocks grouped by width — no per-value Python.

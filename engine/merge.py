@@ -20,10 +20,8 @@ verbatim, run ids offset by the next generation). The graft
 - checks docID disjointness DISTRIBUTED (one task per src docmap file
   against dst's range-sharded id shards — nothing O(n_docs) on the driver);
 - recomputes merged ``avgdl`` exactly from the merged docmap, so merged
-  scores are bit-identical to a from-scratch build over the union corpus;
-- carries ``min(bounds_avgdl)`` so the reader's bound scaling
-  (``Bm25Index._bound_scale``) stays an over-estimate for BOTH sides —
-  block-max pruning remains safe/exact, only marginally less tight.
+  scores are bit-identical to a from-scratch build over the union corpus
+  (segments hold no length-dependent data, so no run is re-encoded).
 """
 
 from __future__ import annotations

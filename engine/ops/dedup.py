@@ -475,10 +475,10 @@ def ngram_jaccard_pairs(
 # --------------------------------------------------------------------------
 
 class MinHasher:
-    """Actor-pool stage: doc -> MinHash signature over word-k-gram shingles.
+    """Map stage: doc -> MinHash signature over word-k-gram shingles.
 
-    Permutation parameters generated once per actor in ``__init__`` from a
-    fixed seed (stateful-stage pattern; deterministic across actors)."""
+    Permutation parameters are generated once in ``__init__`` from a fixed
+    seed; the instance ships to every map task, so all tasks hash alike."""
 
     def __init__(self, num_perm: int = 64, k: int = 3, seed: int = 42,
                  id_col: str = "doc_id", text_col: str = "text"):
@@ -531,7 +531,7 @@ def minhash_lsh_pairs(
     probabilistic. Returns (doc_a, doc_b, common, n_a, n_b) like
     ``ngram_jaccard_pairs`` (integer-exact threshold).
 
-    Pipeline: signatures (actor pool) -> (band, band_hash, doc) explode ->
+    Pipeline: signatures (map tasks) -> (band, band_hash, doc) explode ->
     bucketed groupby expanding LSH-bucket runs to candidate pairs (no hash
     join: one exchange instead of two, and no join-actor setup) -> pair-
     bucket groupby for global distinct (the candidate set stays a Dataset;
@@ -545,15 +545,13 @@ def minhash_lsh_pairs(
     import ray
 
     rows_per_band = num_perm // bands
+    # plain tasks, not an actor pool: the hasher's state is two seeded
+    # arrays, and a pool actor holds its CPU for the whole stage — at one CPU
+    # that starves the fused read and the downstream to_bands tasks (a hang)
     sig_ds = ds.map_batches(
-        MinHasher,
-        fn_constructor_kwargs={"num_perm": num_perm, "k": k, "id_col": id_col, "text_col": text_col},
+        MinHasher(num_perm=num_perm, k=k, id_col=id_col, text_col=text_col),
         batch_format="pyarrow",
-        # (1, n) autoscaling pool: a fixed pool of size == the CPU budget pins
-        # every slot and deadlocks the streaming executor against the
-        # downstream to_bands task stage (observed at num_cpus=4).
-        concurrency=(1, concurrency),
-        num_cpus=1,
+        concurrency=concurrency,
     )
 
     def to_bands(batch: pa.Table) -> pa.Table:

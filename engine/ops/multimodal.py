@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -152,10 +153,17 @@ class ImageResizer:
         )
 
 
+def _rows_of_kind(batch: pa.Table, kind: str) -> pa.Table:
+    # a map_batches filter, not Dataset.filter: Ray Data fuses it into the
+    # actor pool's tasks, while a separate filter stage needs a CPU of its own
+    # that the pool's actor holds at num_cpus=1 (the pipeline then hangs)
+    return batch.filter(pc.equal(batch["kind"], kind))
+
+
 def resize_images(ds, out_w: int = 32, out_h: int = 32, concurrency: int = 2, batch_size: int = 64):
     """Resize pipeline over the image rows only (pruned with a row filter
     BEFORE the actor pool so non-image payloads never ship to it)."""
-    return ds.filter(expr="kind == 'image'").map_batches(
+    return ds.map_batches(_rows_of_kind, fn_kwargs={"kind": "image"}, batch_format="pyarrow").map_batches(
         ImageResizer,
         fn_constructor_kwargs={"out_w": out_w, "out_h": out_h, "decode": "fake"},
         batch_format="pyarrow",
@@ -209,7 +217,7 @@ class FrameSampler:
 
 def sample_frames(ds, every: int = 10, concurrency: int = 2, batch_size: int = 64):
     """Frame-sampling pipeline over the video rows only."""
-    return ds.filter(expr="kind == 'video'").map_batches(
+    return ds.map_batches(_rows_of_kind, fn_kwargs={"kind": "video"}, batch_format="pyarrow").map_batches(
         FrameSampler,
         fn_constructor_kwargs={"every": every, "decode": "fake"},
         batch_format="pyarrow",

@@ -11,8 +11,11 @@ Ours: per-query exact BM25 over decoded postings with
 - deterministic ranking: descending score, ascending doc_id on ties
   (better than the reference, which emits hits in parallel-stream order —
   DefaultStrucmotifRuntime.java:138-154 — and sorts downstream);
-- rarest-first term processing available for the pruned path (O1 analog:
-  ResiduePairOccurrence informativeness ordering);
+- exhaustive top-k: every doc holding a query term is scored, then an
+  argpartition keeps the k best (plus kth-score ties) for the exact sort;
+- rarest-first term processing for conjunctive (AND) queries, with early
+  exit once the candidate set empties (O1 analog: ResiduePairOccurrence
+  informativeness ordering);
 - a stateful actor-pool entry point (``Bm25Queryer`` via ``map_batches``) for
   batch evaluation: index loaded once per actor in ``__init__`` (T3 analog:
   the mmap'd ffindex bundle held by the inverted-index reader).
@@ -247,12 +250,6 @@ class Bm25Index:
         # index/query analyzer mismatch silently returns empty postings)
         self.analyzer = str(self.reader.stats.get("analyzer", "standard"))
         self.stopwords = frozenset(self.reader.stats.get("stopwords") or ())
-        # block-max bounds were encoded against bounds_avgdl (= build-time
-        # avgdl; incremental updates drift the live avgdl without re-encoding).
-        # impact_new/impact_old <= max(1, avgdl_new/avgdl_old), so scaling the
-        # stored bounds keeps pruning safe and exact (engine/update.py).
-        bounds_avgdl = float(self.reader.stats.get("bounds_avgdl", self.avgdl))
-        self._bound_scale = max(1.0, self.avgdl / bounds_avgdl) if bounds_avgdl else 1.0
         if dl_handle is None:
             from .build import _build_dl_lookup
 
@@ -541,10 +538,13 @@ class Bm25Index:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k (doc_ids, scores): descending score, ascending doc_id ties.
 
+        Scoring is exhaustive: every doc holding a query term is scored
+        exactly (``score_all``), then an argpartition keeps the k best and
+        every doc tied with the kth before the exact ordering sort.
+
         ``allowed`` / ``excluded``: optional docID whitelist / blacklist (the
         allowedStructures / excludedStructures semi/anti-join filters,
-        DefaultTargetAssembler.java:66-74,151-161). Filtered queries take the
-        exhaustive path (pruning thresholds assume the unfiltered corpus).
+        DefaultTargetAssembler.java:66-74,151-161).
 
         ``field_range=(field, lo, hi)``: non-scoring range filter on an int64
         doc-values column (the ES ``bool: {filter: {range: ...}}`` context,
@@ -554,35 +554,12 @@ class Bm25Index:
 
         ``rank_round``: rank on scores rounded to N decimals instead of exact
         float64 — used for cross-engine (DuckDB-oracle) deterministic ranking,
-        where float summation order differs between engines. Rounded ranking
-        disables pruning (a pruned-away doc could tie on the rounded key).
-
-        Exact mode routes through block-max pruning: single-term queries skip
-        whole 128-doc blocks whose max impact cannot reach the current kth
-        score; multi-term queries use MaxScore over per-term upper bounds
-        (candidates restricted to postings of "essential" high-bound terms,
-        head terms contribute via point lookups). Both are SAFE: the encode-
-        side strict round-up guard on block maxes makes every pruned doc's
-        score strictly below the kth, so score AND doc-id tie-break order are
-        identical to exhaustive scoring (asserted in tests)."""
+        where float summation order differs between engines."""
         self._queries_served += 1
-        if allowed is not None or excluded is not None or field_range is not None:
-            return self._topk_exhaustive(
-                query_text, k, rank_round,
-                allowed=allowed, excluded=excluded, field_range=field_range,
-            )
-        if rank_round is not None:
-            return self._topk_exhaustive(query_text, k, rank_round)
-        terms = sorted(set(self._terms(query_text)))
-        live = [t for t in terms if self.reader.df(t) > 0]
-        if not live:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        if len(live) == 1:
-            return self._topk_single_blockmax(live[0], k)
-        out = self._topk_maxscore(live, k)
-        if out is not None:
-            return out
-        return self._topk_exhaustive(query_text, k, None)
+        return self._topk_exhaustive(
+            query_text, k, rank_round,
+            allowed=allowed, excluded=excluded, field_range=field_range,
+        )
 
     def _topk_exhaustive(
         self,
@@ -640,113 +617,11 @@ class Bm25Index:
 
     def _contrib(self, idf: float, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
         # EXACTLY score_all's expression (same float evaluation order), so
-        # pruned paths return bit-identical scores to the exhaustive oracle
+        # every scoring surface returns bit-identical per-term contributions
         tff = tf.astype(np.float64)
         return idf * tff * (BM25_K1 + 1.0) / (
             tff + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / self.avgdl)
         )
-
-    def _topk_single_blockmax(self, term: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Single-term top-k decoding blocks in descending block-max order,
-        stopping when the kth score can no longer be beaten (BMW degenerate
-        case; the rarest-first early-exit spirit of DefaultTargetAssembler
-        :108-111 applied to scoring)."""
-        idf = self.idf(term)
-        runs = self.reader.run_blocks(term)
-        cached = getattr(self, "_block_order_cache", None)
-        if cached is None:
-            cached = self._block_order_cache = {}
-        order = cached.get(term)
-        if order is None:
-            # vectorized (bmax desc) ordering over all runs' blocks, cached —
-            # a head term has ~10^4 blocks and this is per-query otherwise
-            bmax_all = np.concatenate([r["bmax"] for r in runs]) if runs else np.empty(0)
-            ri_all = np.concatenate(
-                [np.full(len(r["bmax"]), i, dtype=np.int32) for i, r in enumerate(runs)]
-            ) if runs else np.empty(0, dtype=np.int32)
-            bi_all = np.concatenate(
-                [np.arange(len(r["bmax"]), dtype=np.int32) for r in runs]
-            ) if runs else np.empty(0, dtype=np.int32)
-            desc = np.argsort(-bmax_all, kind="stable")
-            order = cached[term] = list(
-                zip(bmax_all[desc].tolist(), ri_all[desc].tolist(), bi_all[desc].tolist())
-            )
-        docs_acc: list[np.ndarray] = []
-        scores_acc: list[np.ndarray] = []
-        n_seen = 0
-        kth = -math.inf
-        dirty = 0
-        scale = self._bound_scale
-        for bmax, ri, b in order:
-            if n_seen >= k and idf * bmax * scale <= kth:
-                break  # strict guard: every remaining doc scores < idf*bmax*scale <= kth
-            docs, tfs = self._block_docs_tfs(runs[ri], b)
-            sc = self._contrib(idf, tfs, self.dl(docs))
-            docs_acc.append(docs)
-            scores_acc.append(sc)
-            n_seen += len(docs)
-            dirty += 1
-            # a stale (lower) kth only weakens pruning, never correctness —
-            # refresh every 16 blocks to amortize the concatenate+partition
-            if n_seen >= k and (dirty >= 16 or kth == -math.inf):
-                allsc = np.concatenate(scores_acc)
-                kth = np.partition(allsc, len(allsc) - k)[len(allsc) - k]
-                dirty = 0
-        doc = np.concatenate(docs_acc)
-        score = np.concatenate(scores_acc)
-        order2 = np.lexsort((doc, -score))[:k]
-        return doc[order2], score[order2]
-
-    def _topk_maxscore(
-        self, terms: list[str], k: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """MaxScore: docs appearing ONLY in low-bound (head) terms cannot beat
-        the kth candidate score, so candidates come from essential-term
-        postings and head terms contribute via sorted point-lookups. Returns
-        None to signal fallback to exhaustive scoring."""
-        ub = {
-            t: self.idf(t) * self.reader.max_impact(t) * self._bound_scale
-            for t in terms
-        }
-        by_ub = sorted(terms, key=lambda t: (ub[t], t))  # ascending bound
-        cum = np.cumsum([ub[t] for t in by_ub])
-        # grow the essential suffix until candidates >= k and the non-essential
-        # bound sum is beaten by the kth candidate score
-        for j in range(len(by_ub) - 1, -1, -1):
-            essential = by_ub[j:]
-            nonessential_bound = float(cum[j - 1]) if j > 0 else 0.0
-            # cost guard: MaxScore pays |cand| * T sorted point-lookups; that
-            # only beats the exhaustive union-scatter when the essential terms
-            # are selective. A fat candidate set (common-term-only queries)
-            # is cheaper exhaustively — bail to the fallback.
-            ess_df = sum(self.reader.df(t) for t in essential)
-            all_df = sum(self.reader.df(t) for t in terms)
-            if ess_df > 0.25 * all_df:
-                return None
-            cand = np.unique(
-                np.concatenate([self.reader.postings(t)[0] for t in essential])
-            )
-            if len(cand) < k and j > 0:
-                continue
-            if len(cand) == 0:
-                return cand.astype(np.int64), np.empty(0, dtype=np.float64)
-            dl = self.dl(cand)
-            acc = np.zeros(len(cand), dtype=np.float64)
-            for t in sorted(terms):  # ascending term: oracle accumulation order
-                doc, tf = self.reader.postings(t)
-                pos = np.searchsorted(doc, cand)
-                pos_c = np.minimum(pos, len(doc) - 1)
-                present = doc[pos_c] == cand
-                if present.any():
-                    acc[present] += self._contrib(
-                        self.idf(t), tf[pos_c[present]], dl[present]
-                    )
-            kk = min(k, len(cand))
-            kth = np.partition(acc, len(acc) - kk)[len(acc) - kk]
-            if nonessential_bound <= kth:
-                order = np.lexsort((cand, -acc))[:k]
-                return cand[order], acc[order]
-        return None  # every term essential and still not provably safe
 
     def conjunctive_topk(
         self, query_text: str, k: int, rank_round: int | None = None
@@ -789,8 +664,8 @@ class Bm25Index:
 
         Seed: the rarest posting IS the initial candidate set (full decode);
         every later term is probed at BLOCK granularity — only the one block
-        per candidate whose docID range can contain it is decoded (the
-        block-max-WAND skip applied to conjunctive intersection; candidates
+        per candidate whose docID range can contain it is decoded (a skip-
+        pointer probe over the per-block last docIDs; candidates
         shrink rarest-first with early exit, DefaultTargetAssembler:79-112)."""
         empty = np.empty(0, dtype=np.int64)
         by_rarity = sorted(terms, key=lambda t: (self.reader.df(t), t))
@@ -1567,8 +1442,8 @@ class Bm25Index:
         rank_round: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fuzzy search: each query term becomes an OR-slot of its ed<=1
-        vocab neighborhood, scored through the unchanged expanded_topk
-        slot-MaxScore path (a variant match stands in for the original).
+        vocab neighborhood, scored through ``expanded_topk`` (a variant
+        match stands in for the original).
         Terms with an empty neighborhood drop out; all-empty -> no hits."""
         slots = [self.fuzzy_terms(t) for t in terms]
         return self.expanded_topk(slots, k, rank_round=rank_round)
@@ -1590,9 +1465,7 @@ class Bm25Index:
         frequency (sum of tf over its postings) and C the total token count
         (sum of dl). Query terms are deduped + sorted; terms absent from the
         index are skipped (p(t|C)=0 has no finite log); all-absent -> no
-        hits. Exhaustive over the candidate union — pruning lives in the
-        BM25 paths; this scorer's log((tf+x)/(dl+mu)) has no precomputed
-        impact bound in the segments."""
+        hits. Exhaustive over the candidate union, like the BM25 paths."""
         ts = sorted(set(terms))
         postings = []
         for t in ts:
@@ -1630,17 +1503,22 @@ class Bm25Index:
         MAX BM25 contribution over the slot's variants (a variant match
         stands in for the original, never stacks); total = sum over slots.
 
-        Exact mode routes through slot-level MaxScore (slot bound = max
-        variant bound); fallback + rank_round mode score exhaustively.
-        Both are asserted bit-identical in tests."""
+        Every doc holding a variant of any slot is scored exactly."""
         slots = [sorted(set(s)) for s in slots if s]
-        if not slots:
+        all_terms = sorted({t for s in slots for t in s})
+        live = [d for d in (self.reader.postings(t)[0] for t in all_terms) if len(d)]
+        if not live:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        if rank_round is None:
-            out = self._expanded_maxscore(slots, k)
-            if out is not None:
-                return out
-        return self._expanded_exhaustive(slots, k, rank_round)
+        cand = np.unique(np.concatenate(live))
+        dl = self.dl(cand)
+        acc = np.zeros(len(cand), dtype=np.float64)
+        for slot in slots:  # slot order: deterministic accumulation
+            acc += self._slot_contrib(slot, cand, dl)
+        nz = acc > 0
+        cand, acc = cand[nz], acc[nz]
+        key = np.round(acc, rank_round) if rank_round is not None else acc
+        order = np.lexsort((cand, -key))[:k]
+        return cand[order], acc[order]
 
     def _slot_contrib(
         self, slot: list[str], cand: np.ndarray, dl: np.ndarray
@@ -1657,72 +1535,6 @@ class Bm25Index:
                 contrib = self._contrib(self.idf(t), tf[pos[present]], dl[present])
                 np.maximum.at(acc, np.flatnonzero(present), contrib)
         return acc
-
-    def _expanded_exhaustive(
-        self, slots: list[list[str]], k: int, rank_round: int | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        all_terms = sorted({t for s in slots for t in s})
-        postings = [self.reader.postings(t) for t in all_terms]
-        live = [d for d, _ in postings if len(d)]
-        if not live:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        cand = np.unique(np.concatenate(live))
-        dl = self.dl(cand)
-        acc = np.zeros(len(cand), dtype=np.float64)
-        for slot in slots:  # slot order: deterministic accumulation
-            acc += self._slot_contrib(slot, cand, dl)
-        nz = acc > 0
-        cand, acc = cand[nz], acc[nz]
-        key = np.round(acc, rank_round) if rank_round is not None else acc
-        order = np.lexsort((cand, -key))[:k]
-        return cand[order], acc[order]
-
-    def _expanded_maxscore(
-        self, slots: list[list[str]], k: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Slot-level MaxScore: slot upper bound = max variant bound; docs in
-        only low-bound slots cannot beat the kth candidate. None = fallback."""
-        ub = [
-            max(
-                (self.idf(t) * self.reader.max_impact(t) * self._bound_scale for t in s),
-                default=0.0,
-            )
-            for s in slots
-        ]
-        by_ub = sorted(range(len(slots)), key=lambda i: (ub[i], i))
-        cum = np.cumsum([ub[i] for i in by_ub])
-        slot_df = [sum(self.reader.df(t) for t in s) for s in slots]
-        all_df = sum(slot_df)
-        for j in range(len(by_ub) - 1, -1, -1):
-            essential = [slots[i] for i in by_ub[j:]]
-            nonessential_bound = float(cum[j - 1]) if j > 0 else 0.0
-            ess_df = sum(slot_df[i] for i in by_ub[j:])
-            if all_df and ess_df > 0.25 * all_df:
-                return None  # fat candidate set: exhaustive is cheaper
-            ess_postings = [
-                self.reader.postings(t)[0] for s in essential for t in s
-            ]
-            ess_postings = [d for d in ess_postings if len(d)]
-            if not ess_postings:
-                return (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64),
-                ) if j == 0 else None
-            cand = np.unique(np.concatenate(ess_postings))
-            if len(cand) < k and j > 0:
-                continue
-            dl = self.dl(cand)
-            acc = np.zeros(len(cand), dtype=np.float64)
-            for slot in slots:  # same order as exhaustive: bit-identical sums
-                acc += self._slot_contrib(slot, cand, dl)
-            kk = min(k, len(cand))
-            kth = np.partition(acc, len(acc) - kk)[len(acc) - kk]
-            if nonessential_bound <= kth:
-                nz = acc > 0
-                cand, acc = cand[nz], acc[nz]
-                order = np.lexsort((cand, -acc))[:k]
-                return cand[order], acc[order]
-        return None
 
     def more_like_this(
         self,

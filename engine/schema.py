@@ -38,17 +38,6 @@ DOCUMENTS_SCHEMA = pa.schema(
 
 # --- intermediate / index ---------------------------------------------------
 
-#: Output of the tokenizer stage: one row per (doc, term) with term frequency
-#: and the document length (token count) carried along for block-max bounds.
-POSTINGS_PARTIAL_SCHEMA = pa.schema(
-    [
-        pa.field("term", pa.string()),
-        pa.field("doc_id", pa.int64()),
-        pa.field("tf", pa.int32()),
-        pa.field("dl", pa.int32()),
-    ]
-)
-
 #: One row per term (or per (term, salt-run) for salted head terms) inside a
 #: segment file. docIDs strictly increasing within each row (the reference does
 #: NOT guarantee this — DefaultInvertedIndex.java:221-231 iterates a HashMap —
@@ -62,7 +51,6 @@ SEGMENT_SCHEMA = pa.schema(
         pa.field("doc_ids_enc", pa.binary()),  # delta+LEB128 varint
         pa.field("tfs_enc", pa.binary()),  # LEB128 varint
         pa.field("block_last_doc", pa.list_(pa.int64())),  # skip pointers
-        pa.field("block_max_impact", pa.list_(pa.float32())),  # BM25 tf-part bound
         pa.field("block_doc_off", pa.list_(pa.int32())),  # byte offset of block in doc payload
         pa.field("block_tf_off", pa.list_(pa.int32())),  # byte offset of block in tf payload
     ]
@@ -91,7 +79,7 @@ DOCMAP_SCHEMA = pa.schema(
 BM25_K1 = 1.2
 BM25_B = 0.75
 
-#: docs per block for block-max annotations / skip pointers.
+#: docs per block for skip pointers.
 BLOCK_SIZE = 128
 
 #: tokenizer contract (shared verbatim with the DuckDB oracle SQL):

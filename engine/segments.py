@@ -1,4 +1,4 @@
-"""Segment files: packed, sorted, block-max-annotated posting lists.
+"""Segment files: packed, sorted, skip-pointer-annotated posting lists.
 
 The ffindex-bundle analog (DefaultInvertedIndex.java:62-66, README.md:155-173
 of the reference): many posting lists coalesced into FEW large files — here one
@@ -10,10 +10,10 @@ touching the payload bytes.
 
 ``encode_bucket`` is the heart of the SPIMI merge (the
 DefaultInvertedIndex.commit analog, :120-268): it turns one bucket's exploded
-``(term, salt, doc_id, tf, dl)`` rows into finished posting rows in a handful
+``(term, salt, doc_id, tf)`` rows into finished posting rows in a handful
 of whole-array numpy/Arrow operations — sort, boundary detection, grouped
-delta, ONE varint encode over all deltas, reduceat for cf/block-max. No
-per-term Python loop.
+delta, ONE varint encode over all deltas, reduceat for cf. No per-term
+Python loop.
 
 Salted head terms (north-star skew handling) appear as multiple ``run`` rows
 per term; each run is internally doc-sorted and runs are disjoint, so the
@@ -32,7 +32,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .codec import get_codec
-from .schema import BLOCK_SIZE, BM25_B, BM25_K1, POSITIONAL_SEGMENT_SCHEMA, SEGMENT_SCHEMA
+from .schema import BLOCK_SIZE, POSITIONAL_SEGMENT_SCHEMA, SEGMENT_SCHEMA
 
 
 def _binary_from_stream(flat: bytes, group_ends: np.ndarray) -> pa.Array:
@@ -53,12 +53,13 @@ def _binary_from_stream(flat: bytes, group_ends: np.ndarray) -> pa.Array:
 
 def encode_bucket(
     group: pa.Table,
-    avgdl: float,
-    dl_lookup: tuple[np.ndarray | None, np.ndarray] | None = None,
+    _unused=None,  # perfbench/trace.py still passes avgdl here; ignored
+    *,
     salt_const: int | None = None,
     codec: str = "varint",
 ) -> pa.Table:
-    """One bucket's (term[, salt], doc_id, tf[, dl]) rows -> SEGMENT_SCHEMA.
+    """One bucket's (term[, salt], doc_id, tf) rows -> SEGMENT_SCHEMA. An
+    input ``dl`` column is ignored: segments store no length-dependent data.
 
     Sorts by DICTIONARY CODE, not lexicographic term: grouping only needs
     consistency, and the reader looks terms up by exact string, never by file
@@ -68,11 +69,9 @@ def encode_bucket(
     alone; this touches each term string exactly once (dictionary hash) and
     gathers strings only at group starts.
 
-    Exchange-slim variants: when the build drops the ``dl`` column from the
-    shuffle, ``dl_lookup`` = (ids_sorted_or_None, dl_values) resolves lengths
-    here (ids None = dense docIDs, direct gather). When a part's run id is a
-    constant (build: salt == part // n_buckets), ``salt_const`` replaces the
-    per-row ``salt`` column. Both cut 4 bytes/posting/copy off the shuffle."""
+    Exchange-slim variant: when a part's run id is a constant (build:
+    salt == part // n_buckets), ``salt_const`` replaces the per-row ``salt``
+    column, cutting 4 bytes/posting/copy off the shuffle."""
     has_pos = "pos" in group.column_names
     if group.num_rows == 0:
         return (POSITIONAL_SEGMENT_SCHEMA if has_pos else SEGMENT_SCHEMA).empty_table()
@@ -151,20 +150,10 @@ def encode_bucket(
     deltas[starts] = doc[starts].astype(np.uint64)
 
     tf = group["tf"].to_numpy(zero_copy_only=False)[order].astype(np.int64, copy=False)
-    if "dl" in group.column_names:
-        dl = group["dl"].to_numpy(zero_copy_only=False)[order].astype(np.int64, copy=False)
-    else:
-        if hasattr(dl_lookup, "gather"):  # sharded lookup (build.ShardedDl)
-            dl = dl_lookup.gather(doc)
-        else:  # legacy single sorted lookup (overlap fallback / delta paths)
-            ids_sorted, dl_vals = dl_lookup
-            dl = dl_vals[doc] if ids_sorted is None else dl_vals[np.searchsorted(ids_sorted, doc)]
-        dl = dl.astype(np.int64, copy=False)
-
     df = (ends - starts).astype(np.int64)
     cf = np.add.reduceat(tf, starts).astype(np.int64)
 
-    # block annotations: skip pointer (last doc) + max BM25 tf-part per block.
+    # block annotations: skip pointer (last doc) per block.
     # Block coordinates derive from per-GROUP arithmetic (~n/BLOCK_SIZE
     # entries), never from n-length row arrays.
     nblocks = ((df + (BLOCK_SIZE - 1)) // BLOCK_SIZE).astype(np.int64)
@@ -177,22 +166,7 @@ def encode_bucket(
     )
     b_starts = starts[b_group] + b_idx * BLOCK_SIZE
     b_last = np.minimum(b_starts + BLOCK_SIZE - 1, ends[b_group] - 1)
-    # float32 impact: the stored bound is float32 anyway, and the 1+1e-6
-    # round-up guard (~17 float32 ulp) dominates the <=4-ulp error of doing
-    # the arithmetic in float32 — half the bandwidth of the float64 path
-    tf32 = tf.astype(np.float32)
-    impact = (
-        tf32
-        * np.float32(BM25_K1 + 1.0)
-        / (
-            tf32
-            + np.float32(BM25_K1 * (1.0 - BM25_B))
-            + np.float32(BM25_K1 * BM25_B / avgdl) * dl.astype(np.float32)
-        )
-    )
-    b_max = np.maximum.reduceat(impact, b_starts) * np.float32(1.0 + 1e-6)
     block_last_doc = pa.ListArray.from_arrays(pa.array(b_offsets), pa.array(doc[b_last], pa.int64()))
-    block_max_impact = pa.ListArray.from_arrays(pa.array(b_offsets), pa.array(b_max))
 
     # stream encode (the BucketCodec seam, VERDICT r2 #8 / r3 #7): the codec
     # produces each group's self-describing blob AND the byte offset of every
@@ -226,7 +200,6 @@ def encode_bucket(
         "doc_ids_enc": doc_ids_enc,
         "tfs_enc": tfs_enc,
         "block_last_doc": block_last_doc,
-        "block_max_impact": block_max_impact,
         "block_doc_off": block_doc_off,
         "block_tf_off": block_tf_off,
     }
@@ -557,16 +530,16 @@ class SegmentReader:
         return out
 
     def run_blocks(self, term: str) -> list[dict]:
-        """Per-run block-level access for block-max pruned scoring.
+        """Per-run block-level access for the conjunctive block probe.
 
-        Each run dict: ``doc_blob``/``tf_blob`` (bytes), ``last_doc``/``bmax``
-        (np arrays, one entry per 128-doc block), ``doc_off``/``tf_off``
-        (byte offset of each block inside the run blob), ``df``.
+        Each run dict: ``doc_blob``/``tf_blob`` (bytes), ``last_doc`` (np
+        array, one entry per 128-doc block), ``doc_off``/``tf_off`` (byte
+        offset of each block inside the run blob), ``df``.
         Blocks are decodable independently: doc deltas within a run cumsum
         from the PREVIOUS block's ``last_doc`` (run start cumsums from 0
         because the first delta is stored absolute). Metadata arrays are
         cached per term — converting ~10^4 block entries out of Arrow per
-        query costs more than the pruned scoring itself."""
+        query costs more than the block probe itself."""
         hit = self._blocks_cache.get(term)
         if hit is not None:
             return hit
@@ -578,7 +551,6 @@ class SegmentReader:
                     "doc_ids_enc",
                     "tfs_enc",
                     "block_last_doc",
-                    "block_max_impact",
                     "block_doc_off",
                     "block_tf_off",
                 ),
@@ -590,7 +562,6 @@ class SegmentReader:
                     "doc_blob": c["doc_ids_enc"][i].as_py(),
                     "tf_blob": c["tfs_enc"][i].as_py(),
                     "last_doc": np.asarray(c["block_last_doc"][i].as_py(), dtype=np.int64),
-                    "bmax": np.asarray(c["block_max_impact"][i].as_py(), dtype=np.float64),
                     "doc_off": np.asarray(c["block_doc_off"][i].as_py(), dtype=np.int64),
                     "tf_off": np.asarray(c["block_tf_off"][i].as_py(), dtype=np.int64),
                     "df": int(self._part_df[p][i]),
@@ -659,7 +630,6 @@ class SegmentReader:
                         "doc_ids_enc",
                         "tfs_enc",
                         "block_last_doc",
-                        "block_max_impact",
                         "block_doc_off",
                         "block_tf_off",
                     )
@@ -673,7 +643,6 @@ class SegmentReader:
                         "tf_blob": c["tfs_enc"][i].as_py(),
                         **({"pos_blob": c["pos_enc"][i].as_py()} if positions else {}),
                         "last_doc": np.asarray(c["block_last_doc"][i].as_py(), dtype=np.int64),
-                        "bmax": np.asarray(c["block_max_impact"][i].as_py(), dtype=np.float64),
                         "doc_off": np.asarray(c["block_doc_off"][i].as_py(), dtype=np.int64),
                         "tf_off": np.asarray(c["block_tf_off"][i].as_py(), dtype=np.int64),
                         "df": int(self._part_df[p][i]),
@@ -681,33 +650,6 @@ class SegmentReader:
                     }
                 )
         return out
-
-    def max_impact(self, term: str) -> float:
-        """Upper bound of the BM25 tf-part over the whole posting (block-max
-        roll-up; includes the encode-side strict round-up guard)."""
-        runs = self._runs(term)
-        if not runs:
-            return 0.0
-        return max(
-            float(
-                max(self._cols(p, ("block_max_impact",))["block_max_impact"][i].as_py(), default=0.0)
-            )
-            for p, i in runs
-        )
-
-    def block_meta(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (block_last_doc, block_max_impact) over runs."""
-        runs = self._runs(term)
-        if not runs:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        cols = [self._cols(p, ("block_last_doc", "block_max_impact")) for p, _ in runs]
-        last = np.concatenate(
-            [np.asarray(c["block_last_doc"][i].as_py(), dtype=np.int64) for c, (_, i) in zip(cols, runs)]
-        )
-        bmax = np.concatenate(
-            [np.asarray(c["block_max_impact"][i].as_py(), dtype=np.float32) for c, (_, i) in zip(cols, runs)]
-        )
-        return last, bmax
 
     def vocab_df(self) -> "pa.Table":
         """(term, df, cf) over the whole index — metadata-only columnar read

@@ -193,8 +193,8 @@ class _ShardActor:
 
 class _GatheredView:
     """Reader facade over scatter/gathered term runs. Implements exactly the
-    SegmentReader surface the scoring paths touch (df / postings / run_blocks
-    / max_impact), with the same run ordering and merge discipline, so every
+    SegmentReader surface the scoring paths touch (df / postings /
+    run_blocks), with the same run ordering and merge discipline, so every
     Bm25Index query path produces bit-identical output over it."""
 
     def __init__(self, runs_by_term: dict[str, list[dict]]):
@@ -233,12 +233,6 @@ class _GatheredView:
     def run_blocks(self, term: str) -> list[dict]:
         return self._runs.get(term, [])
 
-    def max_impact(self, term: str) -> float:
-        runs = self._runs.get(term, ())
-        if not runs:
-            return 0.0
-        return max(float(max(r["bmax"], default=0.0)) for r in runs)
-
     def positions_lookup(self, term: str, cand):
         """Same decode as SegmentReader.positions_lookup over the SHIPPED
         position streams (pos_blob present only on positions=True fetches).
@@ -272,7 +266,7 @@ class ShardedQueryService:
       1 (cold) or n_salts (hot) shards owning its parts.
     - The coordinator gathers the terms' runs (one RPC per involved shard per
       query), assembles a :class:`_GatheredView`, and runs the unchanged exact
-      Bm25Index paths (block-max / MaxScore / conjunctive block-skip) over it.
+      Bm25Index paths (exhaustive top-k / conjunctive block-skip) over it.
     - Resident state: each shard holds ~1/n_shards of payload bytes; the
       coordinator holds O(#docmap files) dl-shard routing refs (the dl
       arrays themselves are lazy zero-copy plasma views via
@@ -516,7 +510,7 @@ class ShardedQueryService:
         """Sharded fuzzy search: expansion fans out to EVERY shard (each
         scans only its vocab slice — no shard ever holds the whole vocab),
         the per-term neighborhoods are unioned, then the variant union goes
-        through the ordinary scatter/gather and the unchanged slot-MaxScore
+        through the ordinary scatter/gather and the unchanged
         expanded_topk. Bit-identical to Bm25Index.fuzzy_topk (tested)."""
 
         terms = sorted(set(self._bm._terms(text)))

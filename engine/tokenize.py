@@ -140,10 +140,9 @@ def tokenize_batch(
     ``id_col`` must be int64 and unique within the corpus (dense docIDs from
     ``engine.docids`` for transcripts; the native ``doc_id`` for documents).
 
-    ``with_dl=False`` omits the per-row ``dl`` column: the build exchange
-    resolves document lengths at ENCODE time from the broadcast docmap lookup
-    instead of carrying 4 bytes/posting through every shuffle copy (the bytes
-    saved scale with corpus size; the broadcast is O(n_docs) once).
+    ``with_dl=False`` omits the per-row ``dl`` column: the segment encoder
+    does not read it (lengths live in the docmap), so the build exchange and
+    ADD drop 4 bytes/posting from every shuffle copy.
 
     ``positions=True`` adds a ``pos`` list<int32> column: the ASCENDING
     0-based token offsets of this (doc, term)'s occurrences — the

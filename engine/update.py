@@ -12,9 +12,8 @@ Semantics mirror the reference's delta planning:
   DefaultInvertedIndex.java:197-231, without decoding the existing bucket).
 - REMOVE: affected doc_ids are masked out of every posting (decode -> filter
   -> re-encode per part, parallel Ray tasks) and dropped from the docmap.
-- COMPACT: decode + re-encode every part under the CURRENT corpus stats,
-  collapsing delta runs back to canonical salt runs and refreshing the
-  block-max bounds baseline.
+- COMPACT: decode + re-encode every part, collapsing delta runs back to
+  canonical salt runs.
 
 DocID minting for ADD follows the reference (next free index,
 DefaultStructureIndexProvider.java:115-122): new docs get ids above the
@@ -22,13 +21,9 @@ current max, ordered by ``(conv_id, turn_idx)`` among themselves. The global
 sorted-order invariant therefore holds per epoch, not across epochs — a
 from-scratch rebuild reassigns; COMPACT does not renumber.
 
-Block-max safety under drifting stats: block maxes are computed against the
-avgdl at BASE-build time (``bounds_avgdl`` in stats.json) and deltas are
-encoded against that same value. Scoring always uses the live avgdl; pruning
-scales the stored bounds by ``max(1, avgdl_live / bounds_avgdl)``, a provable
-upper bound on the impact ratio (the denominator ``tf + k1*(1-b+b*dl/avgdl)``
-makes impact_new/impact_old <= max(1, avgdl_new/avgdl_old) for all tf, dl), so
-pruned top-k stays exact without re-encoding after every update.
+Segments store no length-dependent data (doc lengths live in the docmap), so
+an update that moves avgdl re-encodes nothing beyond the parts it touches:
+scoring reads the live avgdl from stats.json and each doc's dl from the docmap.
 """
 
 from __future__ import annotations
@@ -45,6 +40,7 @@ import ray.data
 
 from . import state
 from .build import _Router
+from .schema import POSITIONAL_SEGMENT_SCHEMA, SEGMENT_SCHEMA
 from .segments import decode_posting, encode_bucket
 from .tokenize import doc_length_batch, hash64_text, hash_scheme, tokenize_batch
 
@@ -77,7 +73,6 @@ def _refresh_stats(index_dir: str, n_docs: int, avgdl: float, generation: int) -
     stats.update(
         n_docs=n_docs,
         avgdl=avgdl,
-        bounds_avgdl=stats.get("bounds_avgdl", stats["avgdl"] if generation else avgdl),
         generation=generation,
         n_parts=len(parts),
         n_term_runs=int(sum(p["n_terms"] for p in parts.values())),
@@ -224,8 +219,17 @@ def _build_known_keys(index_dir: str, transcripts: bool, has_hash: bool):
     return KnownKeys(np.array([live[0][0]["min"]]), [merged]), next_id
 
 
+def _read_segment(path: str) -> pa.Table:
+    """A segment file projected onto the current segment schema, so parts
+    written by an older encoder (with since-dropped columns) concatenate
+    with freshly encoded runs."""
+    with pq.ParquetFile(path) as pf:
+        positional = "pos_enc" in pf.schema_arrow.names
+        return pf.read(columns=(POSITIONAL_SEGMENT_SCHEMA if positional else SEGMENT_SCHEMA).names)
+
+
 @ray.remote
-def _merge_part(index_dir: str, part: int, bounds_avgdl: float, codec: str, *tables) -> int | None:
+def _merge_part(index_dir: str, part: int, codec: str, *tables) -> int | None:
     """One touched part: concat this part's delta sub-tables, encode the delta
     rows as NEW RUNS, append to the existing segment (existing runs are NOT
     decoded — the concat-onto-existing-bucket merge of
@@ -233,10 +237,10 @@ def _merge_part(index_dir: str, part: int, bounds_avgdl: float, codec: str, *tab
     live = [t for t in tables if t is not None and t.num_rows]
     if not live:
         return None
-    delta_seg = encode_bucket(pa.concat_tables(live), bounds_avgdl, codec=codec)
+    delta_seg = encode_bucket(pa.concat_tables(live), codec=codec)
     path = state.segment_path(index_dir, part)
     if os.path.exists(path):
-        merged = pa.concat_tables([pq.read_table(path), delta_seg]).sort_by(
+        merged = pa.concat_tables([_read_segment(path), delta_seg]).sort_by(
             [("term", "ascending"), ("run", "ascending")]
         )
     else:
@@ -303,7 +307,6 @@ def add_documents(
         )
     transcripts = bool(stats.get("transcripts_mode"))
     generation = int(stats.get("generation", 0)) + 1
-    bounds_avgdl = float(stats.get("bounds_avgdl", stats["avgdl"]))
     n_buckets, n_salts = int(stats["n_buckets"]), int(stats["n_salts"])
     codec = stats.get("postings_codec", "varint")  # delta runs match the bundle
 
@@ -381,7 +384,7 @@ def add_documents(
             pa.concat_tables(changed_blocks)["old_doc_id"].to_numpy(zero_copy_only=False)
         )
         replaced = int(len(changed_ids))
-        _purge_doc_ids(index_dir, changed_ids, bounds_avgdl, codec=codec)
+        _purge_doc_ids(index_dir, changed_ids, codec=codec)
 
     # --- stage 2: mint docIDs (key-sorted delta + per-block offsets) ------
     if transcripts:
@@ -424,15 +427,6 @@ def add_documents(
 
     delta_dir = os.path.join(_docmap_dir(index_dir), f"delta-{generation:04d}")
     delta_ds.map_batches(docmap_fn, batch_format="pyarrow").write_parquet(delta_dir)
-    if bounds_avgdl <= 0.0:
-        # base index was EMPTY (avgdl 0): the delta defines the block-max
-        # encoding baseline; persist it so query-time bound scaling
-        # (max(1, avgdl_live / bounds_avgdl)) uses the same value
-        bounds_avgdl = max(
-            1.0, float(pc.mean(pq.read_table(delta_dir, columns=["dl"])["dl"]).as_py() or 0.0)
-        )
-        stats["bounds_avgdl"] = bounds_avgdl
-        state.write_stats(index_dir, stats)
 
     # --- stage 4: tokenize -> committed routing -> per-part merge tasks ---
     hot_ref = ray.put(stats.get("hot_terms", []))
@@ -445,8 +439,8 @@ def add_documents(
     def route_offset(batch: pa.Table) -> pa.Table:
         rows = router(
             tokenize_batch(batch, id_col=id_col, text_col=text_col,
-                           positions=positional, analyzer=analyzer,
-                           stopwords=stop_list)
+                           positions=positional, with_dl=False,
+                           analyzer=analyzer, stopwords=stop_list)
         )
         return rows.set_column(
             rows.schema.get_field_index("salt"),
@@ -476,8 +470,7 @@ def add_documents(
         split_refs = [split_block.remote(r) for r in routed_refs]
     merge_refs = [
         _merge_part.remote(
-            index_dir, p, bounds_avgdl, codec,
-            *[split_refs[i][p] for i in range(len(split_refs))]
+            index_dir, p, codec, *[split_refs[i][p] for i in range(len(split_refs))]
         )
         for p in range(n_parts_total)
     ]
@@ -501,9 +494,7 @@ def add_documents(
 def _reencode_part(
     index_dir: str,
     part: int,
-    avgdl_for_bounds: float,
     remove_ids: np.ndarray | None,
-    dl_lookup: tuple[np.ndarray, np.ndarray],
     collapse_runs: bool = False,
     n_salts: int = 1,
     codec: str = "varint",
@@ -559,18 +550,11 @@ def _reencode_part(
         if os.path.exists(mp):
             os.remove(mp)
         return None
-    doc_all = np.concatenate(docs)
-    if hasattr(dl_lookup, "gather"):  # range-sharded lookup (build.ShardedDl)
-        dl_all = dl_lookup.gather(doc_all).astype(np.int64)
-    else:
-        ids_sorted, dl_sorted = dl_lookup
-        dl_all = dl_sorted[np.searchsorted(ids_sorted, doc_all)]
     cols = {
         "term": pa.array(np.concatenate(terms), pa.string()),
         "salt": pa.array(np.concatenate(salts), pa.int32()),
-        "doc_id": pa.array(doc_all, pa.int64()),
+        "doc_id": pa.array(np.concatenate(docs), pa.int64()),
         "tf": pa.array(np.concatenate(tfs).astype(np.int32)),
-        "dl": pa.array(dl_all.astype(np.int32)),
     }
     if has_pos:
         counts = np.concatenate(pos_counts)
@@ -583,7 +567,7 @@ def _reencode_part(
     # collapsed runs may merge docs of the same (term, salt): encode_bucket
     # requires strictly ascending docs per group, which holds because runs
     # are doc-disjoint and docs are unique per term
-    seg = encode_bucket(rows, avgdl_for_bounds, codec=codec)
+    seg = encode_bucket(rows, codec=codec)
     tmp = path + ".tmp"
     pq.write_table(seg, tmp, row_group_size=16384)
     os.replace(tmp, path)
@@ -631,28 +615,18 @@ def _recover_docmap_swap(ddir: str) -> None:
     os.rmdir(backup)
 
 
-def _purge_doc_ids(index_dir: str, remove: np.ndarray, bounds_avgdl: float,
-                   codec: str = "varint") -> int:
+def _purge_doc_ids(index_dir: str, remove: np.ndarray, codec: str = "varint") -> int:
     """Mask the given doc_ids out of every posting (ONE RAY TASK PER PART —
     the decode->filter->re-encode work is embarrassingly parallel across
     bucket files) and drop them from the docmap (consolidated rewrite).
     Returns the number of parts touched."""
-    _recover_docmap_swap(_docmap_dir(index_dir))
-    remove = np.unique(np.asarray(remove, dtype=np.int64))
-    # removed ids may still appear inside postings being decoded; the
-    # range-sharded lookup covers every doc (value unused for removed docs —
-    # they are filtered before encode). O(removal) driver state only.
-    from .build import _build_dl_lookup
-
     ddir = _docmap_dir(index_dir)
-    dl_ref, _n, _avg, _fit, _meta = _build_dl_lookup(ddir)
-    rref = ray.put(remove)
+    _recover_docmap_swap(ddir)
+    remove = np.unique(np.asarray(remove, dtype=np.int64))
+    rref = ray.put(remove)  # O(removal) driver state only
     parts = sorted(state.committed_parts(index_dir))
     results = ray.get(
-        [
-            _reencode_part_remote.remote(index_dir, p, bounds_avgdl, rref, dl_ref, codec=codec)
-            for p in parts
-        ]
+        [_reencode_part_remote.remote(index_dir, p, rref, codec=codec) for p in parts]
     )
 
     # rewrite docmap STREAMING (delta dirs folded in): Ray Data filter pass
@@ -715,7 +689,6 @@ def remove_documents(index_dir: str, *, conv_ids=None, doc_ids=None) -> dict:
     """Remove documents (by conv_id or doc_id) from the index + docmap."""
     stats = state.read_stats(index_dir)
     generation = int(stats.get("generation", 0)) + 1
-    bounds_avgdl = float(stats.get("bounds_avgdl", stats["avgdl"]))
 
     # victim resolution STREAMS the docmap; only matching ids (bounded by
     # the removal size) reach the driver
@@ -756,7 +729,7 @@ def remove_documents(index_dir: str, *, conv_ids=None, doc_ids=None) -> dict:
         return {"removed": 0, "generation": generation - 1}
 
     parts_touched = _purge_doc_ids(
-        index_dir, remove, bounds_avgdl, codec=stats.get("postings_codec", "varint")
+        index_dir, remove, codec=stats.get("postings_codec", "varint")
     )
     n_docs, avgdl = _rewrite_docmap_marker(index_dir)
     _refresh_stats(index_dir, n_docs, avgdl, generation)
@@ -768,28 +741,21 @@ def remove_documents(index_dir: str, *, conv_ids=None, doc_ids=None) -> dict:
 
 
 def compact_index(index_dir: str) -> dict:
-    """Re-encode every part under the live corpus stats: delta runs collapse
-    back into canonical salt runs, ``bounds_avgdl`` snaps to the live avgdl
-    (restoring tight block-max bounds), generation resets."""
+    """Re-encode every part: delta runs collapse back into canonical salt
+    runs, generation resets."""
     stats = state.read_stats(index_dir)
     n_salts = int(stats["n_salts"])
-    from .build import _build_dl_lookup
-
-    lref, _n, _avg, _fit, _meta = _build_dl_lookup(_docmap_dir(index_dir))
-    avgdl = float(stats["avgdl"])
     ray.get(
         [
             _reencode_part_remote.remote(
-                index_dir, p, avgdl, None, lref, collapse_runs=True,
+                index_dir, p, None, collapse_runs=True,
                 n_salts=n_salts, codec=stats.get("postings_codec", "varint")
             )
             for p in sorted(state.committed_parts(index_dir))
         ]
     )
-    new_stats = _refresh_stats(index_dir, int(stats["n_docs"]), avgdl, 0)
-    new_stats["bounds_avgdl"] = avgdl
-    state.write_stats(index_dir, new_stats)
-    return {"parts": new_stats["n_parts"], "bounds_avgdl": avgdl}
+    new_stats = _refresh_stats(index_dir, int(stats["n_docs"]), float(stats["avgdl"]), 0)
+    return {"parts": new_stats["n_parts"], "avgdl": new_stats["avgdl"]}
 
 
 def reindex(
@@ -887,14 +853,14 @@ def _graft_part(dst_dir: str, part: int, src_path: str, run_offset: int) -> int:
     a previous (crashed) attempt — the segment rewrite is atomic, so it is
     either fully grafted or untouched — and is skipped, which is what makes
     a crashed merge safely re-runnable."""
-    src = pq.read_table(src_path)
+    src = _read_segment(src_path)
     i = src.schema.get_field_index("run")
     src = src.set_column(
         i, "run", pc.add(src["run"], pa.scalar(run_offset, pa.int32())).cast(pa.int32())
     )
     path = state.segment_path(dst_dir, part)
     if os.path.exists(path):
-        dst_tbl = pq.read_table(path)
+        dst_tbl = _read_segment(path)
         prior_max = pc.max(dst_tbl["run"]).as_py()
         if prior_max is not None and int(prior_max) >= run_offset:
             return part  # this generation's runs are already in
@@ -965,10 +931,7 @@ def merge_indexes(dst_dir: str, src_dir: str) -> dict:
     decoded. Docmap rows copy over as a delta generation; corpus stats
     recompute from the merged docmap; ``hot_terms`` becomes the union (a
     term hot in either bundle is probed across all salted parts, which
-    always includes the cold bucket, so every run stays reachable);
-    ``bounds_avgdl`` becomes the MIN of the two so every stored block-max
-    bound remains an upper bound under merged stats (the query-side
-    ``_bound_scale`` covers the avgdl drift; scores are exact regardless).
+    always includes the cold bucket, so every run stays reachable).
 
     Refuses on mismatched routing/codec contracts and on any docID
     collision (checked distributed: one task per src docmap file against
@@ -1090,10 +1053,6 @@ def merge_indexes(dst_dir: str, src_dir: str) -> dict:
 
     n_docs, avgdl = _rewrite_docmap_marker(dst_dir)
     new_stats = _refresh_stats(dst_dir, n_docs, avgdl, generation)
-    new_stats["bounds_avgdl"] = min(
-        float(dst.get("bounds_avgdl", dst["avgdl"])),
-        float(src.get("bounds_avgdl", src["avgdl"])),
-    )
     new_stats["hot_terms"] = sorted(
         set(dst.get("hot_terms", [])) | set(src.get("hot_terms", []))
     )

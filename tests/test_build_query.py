@@ -154,23 +154,6 @@ def test_absent_term_empty(tiny_index):
     assert len(doc) == 0
 
 
-def test_pruned_paths_bit_identical_to_exhaustive(tiny_index):
-    """Block-max single-term and MaxScore multi-term pruning must return the
-    SAME docIDs and bit-identical float64 scores as exhaustive scoring (the
-    safe-pruning contract; guard = encode-side strict round-up on block max)."""
-    import numpy as np
-
-    from engine.queries import QUERY_SET
-    from engine.query import Bm25Index
-
-    bm = Bm25Index(tiny_index)
-    for q in QUERY_SET:
-        d1, s1 = bm.topk(q["text"], q["k"])
-        d2, s2 = bm._topk_exhaustive(q["text"], q["k"], None)
-        assert np.array_equal(d1, d2), q["query_id"]
-        assert np.array_equal(s1, s2), q["query_id"]
-
-
 def test_conjunctive_blockskip_matches_full_decode(tiny_index):
     """Block-probed AND intersection must equal full-decode intersection
     (docIDs and bit-exact scores), including the df-for-idf subtlety."""

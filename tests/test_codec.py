@@ -141,8 +141,7 @@ def test_encode_bucket_packed_and_fallback_agree():
     assert seg_packed["run"].to_pylist() == seg_fb["run"].to_pylist()
     assert seg_packed["df"].to_pylist() == seg_fb["df"].to_pylist()
     assert seg_packed["cf"].to_pylist() == seg_fb["cf"].to_pylist()
-    # block-max impacts identical (same tf/dl); docIDs differ by the shift
-    assert seg_packed["block_max_impact"].to_pylist() == seg_fb["block_max_impact"].to_pylist()
+    # docIDs differ by the shift
     for i in range(seg_packed.num_rows):
         dp, tp = decode_posting(
             seg_packed["doc_ids_enc"][i].as_py(), seg_packed["tfs_enc"][i].as_py()

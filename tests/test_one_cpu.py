@@ -1,0 +1,57 @@
+"""Pipelines with an actor-pool or CPU-hungry stage must finish on a one-CPU
+Ray session. A pool actor that holds the only CPU while an unfused upstream
+or downstream task stage waits for one hangs the streaming executor with no
+error, so each pipeline runs in a fresh ``num_cpus=1`` session in a
+subprocess under a timeout.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = r"""
+import json, sys
+import numpy as np, pyarrow as pa, pyarrow.parquet as pq, ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False)
+ray.data.DataContext.get_current().enable_progress_bars = False
+from engine.ops import multimodal as mm
+from engine.ops.dedup import minhash_lsh_pairs
+from engine.synth import generate_transcripts
+
+out_dir = sys.argv[1]
+t = generate_transcripts(300, seed=42).select(["text"])
+t = t.append_column("doc_id", pa.array(np.arange(t.num_rows), pa.int64()))
+planted = [(i, t.num_rows + j) for j, i in enumerate(range(0, 50, 10))]
+dups = pa.table({"text": t["text"].take([a for a, _ in planted]),
+                 "doc_id": pa.array([b for _, b in planted], pa.int64())})
+t = pa.concat_tables([t, dups])
+bounds = np.linspace(0, t.num_rows, 5).astype(int)
+for i in range(4):  # several files: the read is a real upstream stage
+    pq.write_table(t.slice(bounds[i], bounds[i + 1] - bounds[i]), f"{out_dir}/part-{i}.parquet")
+pairs = minhash_lsh_pairs(ray.data.read_parquet(out_dir), concurrency=4).to_pandas()
+found = set(zip(pairs["doc_a"].tolist(), pairs["doc_b"].tolist()))
+media = ray.data.from_arrow(mm.synth_media_table(60))
+print(json.dumps({
+    "planted_found": all(p in found for p in planted),
+    "resized": mm.resize_images(media, concurrency=4).count(),
+    "frames": mm.sample_frames(media, concurrency=4).count(),
+}))
+"""
+
+
+def test_actor_pool_pipelines_finish_on_one_cpu(tmp_path):
+    env = dict(os.environ, PYTHONPATH=REPO)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=150,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert res["planted_found"]
+    assert res["resized"] == 20  # every third synthetic media row is an image
+    assert res["frames"] > 0

@@ -179,24 +179,6 @@ def test_expanded_vs_oracle(pos_index, doc_tokens):
     assert hits > 0
 
 
-def test_expanded_maxscore_bitident(pos_index):
-    """Slot-level MaxScore pruning must be BIT-identical to exhaustive."""
-    from engine.query import Bm25Index
-
-    bm = Bm25Index(pos_index)
-    for slots in EXP_CASES:
-        norm = [sorted(set(s)) for s in slots if s]
-        d_e, s_e = bm._expanded_exhaustive(norm, 12, None)
-        out = bm._expanded_maxscore(norm, 12)
-        if out is None:  # fat-candidate fallback is allowed, not wrong
-            continue
-        d_m, s_m = out
-        np.testing.assert_array_equal(d_m, d_e)
-        np.testing.assert_array_equal(
-            s_m.view(np.uint64), s_e.view(np.uint64)
-        )  # bit pattern, not approx
-
-
 def test_expanded_single_variant_equals_topk(pos_index):
     """One slot x one variant degenerates to plain single-term topk."""
     from engine.query import Bm25Index
