@@ -27,8 +27,8 @@ bit of tf_w or dl_w. The per-term score sum keeps the ascending-term order
 Scale shape: the conversation stats table is built DISTRIBUTED (per-batch
 Arrow partial aggregate -> one conv-keyed groupby) and is ~1/20th the
 docmap (one row per conversation, not per turn); the driver-resident
-(first_doc, dl_w) arrays are the conv-level analog of the dl lookup —
-beyond single-node scale, range-shard them exactly like build.ShardedDl.
+(first_doc, dl_w) arrays are the conv-level analog of the doc-length
+lookup (docmap.DocLengths).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .docmap import docmap_files
 from .schema import BM25_B, BM25_K1
 
 _DYADIC_DENOM = 64  # weights must be multiples of 1/64 (exactness contract)
@@ -68,13 +69,7 @@ def conv_field_stats(index_dir: str, weights: dict[str, float]) -> dict:
     from ray.data.aggregate import Min, Sum
 
     _check_weights(weights)
-    ddir = os.path.join(index_dir, "docmap")
-    files = sorted(
-        os.path.join(root, f)
-        for root, _dirs, fs in os.walk(ddir)
-        for f in fs
-        if f.endswith(".parquet")
-    )
+    files = docmap_files(os.path.join(index_dir, "docmap"))
     ds = ray.data.read_parquet(files, columns=["doc_id", "conv_id", "dl", "category"])
 
     roles = sorted(weights)
@@ -105,7 +100,7 @@ def conv_field_stats(index_dir: str, weights: dict[str, float]) -> dict:
         .groupby("conv_id")
         .aggregate(Sum("dlw"), Min("first_doc"))
     )
-    tbl = agg.to_pandas()  # O(n_convs): ~n_docs/20; shard like ShardedDl at 100x
+    tbl = agg.to_pandas()  # O(n_convs): ~n_docs/20
     order = np.argsort(tbl["min(first_doc)"].to_numpy())
     first = tbl["min(first_doc)"].to_numpy()[order].astype(np.int64)
     dlw = tbl["sum(dlw)"].to_numpy()[order].astype(np.float64)

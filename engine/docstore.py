@@ -19,21 +19,20 @@ store under any reasonable doc_id partitioning — never the whole corpus.
 
 from __future__ import annotations
 
-import glob
 import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .docmap import docmap_files
+
 
 class DocStore:
     """Row-group-pruned (doc_id -> text) lookups over the docmap parquet."""
 
     def __init__(self, index_dir: str):
-        root = os.path.join(index_dir, "docmap")
-        # include ADD-generation delta subdirs (docmap/delta-NNNN/*.parquet)
-        paths = sorted(glob.glob(os.path.join(root, "**", "*.parquet"), recursive=True))
+        paths = docmap_files(os.path.join(index_dir, "docmap"))
         self._rgs: list[tuple[str, int]] = []  # (path, row_group)
         lo, hi = [], []
         self._has_text = False
@@ -121,7 +120,7 @@ class DocStore:
         :meth:`texts`, with per-row-group sorted numpy arrays cached per
         actor, so a gather is searchsorted + fancy-index, no per-row Python.
         Raises KeyError on any absent docID (unknown ids must never silently
-        score — same contract as build.ShardedDl.gather)."""
+        score — same contract as the doc-length lookup, docmap.DocLengths)."""
         ids = np.asarray(doc_ids, dtype=np.int64)
         if not len(ids):
             return np.empty(0, dtype=np.int64)

@@ -29,19 +29,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .docmap import docmap_files
 from .query import Bm25Index
 
 
 class Federation:
     """A queryable union of independently built indexes.
 
-    Members must occupy disjoint docID spaces. Checked at init in two
-    tiers: each docmap's (min, max) doc_id bounds from parquet row-group
-    STATISTICS prune the all-pairs work to the pairs whose ranges actually
-    overlap (rollover-style time slices with dense per-slice ids skip the
-    probes entirely); only overlapping pairs pay the distributed per-file
-    collision probe (the same refusal contract ``update.merge_indexes``
-    enforces before grafting)."""
+    Members must occupy disjoint docID spaces, checked at init against the
+    doc ids each member already holds in memory once it is open (the same
+    refusal contract ``update.merge_indexes`` enforces before grafting)."""
 
     def __init__(self, index_dirs: list[str]):
         if len(index_dirs) < 2:
@@ -55,63 +52,9 @@ class Federation:
                 "federation refused: members use different analyzer chains "
                 f"{sorted((a, sorted(s)) for a, s in analyzers)}"
             )
-        # disjointness refusal, two-tier: (min, max) doc_id bounds from
-        # parquet STATISTICS prune the pair set (metadata only, no row
-        # reads); surviving overlapping pairs probe DISTRIBUTED — one task
-        # per docmap file against the earlier member's range-sharded dl
-        # shards (the merge_indexes collision contract,
-        # update._id_collisions) — nothing O(corpus) touches the driver.
-        import os
-
-        import ray
-
-        from .update import _id_collisions
-
-        def _docmap_files(d: str) -> list[str]:
-            return sorted(
-                os.path.join(root, f)
-                for root, _dirs, fs in os.walk(os.path.join(d, "docmap"))
-                for f in fs
-                if f.endswith(".parquet")
-            )
-
-        def _id_bounds(files: list[str]) -> tuple[int, int] | None:
-            """(min, max) doc_id across files from row-group statistics;
-            None (probe unconditionally) if any stats are missing."""
-            import pyarrow.parquet as pq
-
-            mn, mx = None, None
-            for p in files:
-                md = pq.read_metadata(p)
-                try:
-                    ci = md.schema.to_arrow_schema().names.index("doc_id")
-                except ValueError:
-                    return None
-                for rg in range(md.num_row_groups):
-                    st = md.row_group(rg).column(ci).statistics
-                    if st is None or not st.has_min_max:
-                        return None
-                    mn = st.min if mn is None else min(mn, st.min)
-                    mx = st.max if mx is None else max(mx, st.max)
-            return None if mn is None else (int(mn), int(mx))
-
-        member_files = [_docmap_files(d) for d in index_dirs]
-        bounds = [_id_bounds(fs) for fs in member_files]
         for j in range(1, len(index_dirs)):
             for i in range(j):
-                bi, bj = bounds[i], bounds[j]
-                if bi is not None and bj is not None and (
-                    bj[0] > bi[1] or bi[0] > bj[1]
-                ):
-                    continue  # provably disjoint ranges: skip the probe
-                n_coll = sum(
-                    ray.get(
-                        [
-                            _id_collisions.remote(self.members[i]._dl_ref, p)
-                            for p in member_files[j]
-                        ]
-                    )
-                )
+                n_coll = int(self.members[i].dl.contains(self.members[j].dl.ids).sum())
                 if n_coll:
                     raise ValueError(
                         f"federation members {index_dirs[i]} and "
@@ -139,7 +82,6 @@ class Federation:
         Cached per field; a file without stats falls back to one bounded
         column read."""
         import datetime as _dt
-        import glob as _glob
         import os as _os
 
         import pyarrow as pa
@@ -159,13 +101,7 @@ class Federation:
         out = []
         for ix in self.members:
             mn, mx = None, None
-            files = sorted(
-                _glob.glob(
-                    _os.path.join(ix.index_dir, "docmap", "**", "*.parquet"),
-                    recursive=True,
-                )
-            )
-            for p in files:
+            for p in docmap_files(_os.path.join(ix.index_dir, "docmap")):
                 pf = pq.ParquetFile(p)
                 md = pf.metadata
                 names = [md.schema.column(i).name for i in range(md.num_columns)]

@@ -17,8 +17,8 @@ verbatim, run ids offset by the next generation). The graft
   sets; a union-hot term's salted part list always includes the cold
   bucket, so every run stays reachable — the old requirement that hot sets
   match made independent shard builds practically unmergeable);
-- checks docID disjointness DISTRIBUTED (one task per src docmap file
-  against dst's range-sharded id shards — nothing O(n_docs) on the driver);
+- refuses any docID that src and dst share (src ids looked up in dst's
+  sorted ids, read in process);
 - recomputes merged ``avgdl`` exactly from the merged docmap, so merged
   scores are bit-identical to a from-scratch build over the union corpus
   (segments hold no length-dependent data, so no run is re-encoded).

@@ -30,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .docmap import docmap_files, read_doc_lengths
 from .schema import BM25_B, BM25_K1
 from .segments import SegmentReader
 from .tokenize import tokenize_text
@@ -225,21 +226,17 @@ def boolean_query_leaves(tree) -> tuple[list[str], list[str]]:
 class Bm25Index:
     """Query-side handle: segment reader + docmap lengths + global stats.
 
-    Doc lengths are NOT materialized at init (VERDICT r3 #3): the docmap is
-    read by per-file remote tasks into plasma shards and routed through
-    ``build.ShardedDl`` — init-resident state is O(#docmap files) (minima +
-    ObjectRefs + O(1) corpus facts); the shards an actor's queries actually
-    touch are resolved lazily as zero-copy plasma views and cached
-    per-process. Pass ``dl_handle`` (the ``build._build_dl_lookup`` result)
-    to share ONE set of plasma shards across a pool of replicas/queryers
-    instead of each actor re-reading the docmap.
+    Doc lengths are read from the docmap at init, in this process, into one
+    float64 array (``docmap.DocLengths``): indexed directly by doc id when
+    the ids are ``0..n-1``, through a sorted id array otherwise. That is 8
+    bytes per doc (16 with holes in the id space) per open handle; opening
+    a handle needs no Ray session.
 
     ``read_error_strategy``: "throw" (default) raises SegmentReadError on a
     corrupt part at query level; "quarantine" serves the remaining parts
     with a warning (CORE/config/ReadErrorStrategy.java analog)."""
 
-    def __init__(self, index_dir: str, read_error_strategy: str = "throw",
-                 dl_handle=None):
+    def __init__(self, index_dir: str, read_error_strategy: str = "throw"):
         self.index_dir = index_dir
         self._queries_served = 0
         self.reader = SegmentReader(index_dir, read_error_strategy=read_error_strategy)
@@ -250,33 +247,14 @@ class Bm25Index:
         # index/query analyzer mismatch silently returns empty postings)
         self.analyzer = str(self.reader.stats.get("analyzer", "standard"))
         self.stopwords = frozenset(self.reader.stats.get("stopwords") or ())
-        if dl_handle is None:
-            from .build import _build_dl_lookup
-
-            dl_ref, _n, _avg, _fit, meta = _build_dl_lookup(
-                os.path.join(index_dir, "docmap")
-            )
-            dl_handle = (dl_ref, meta)
-        self._dl_ref, dl_meta = dl_handle
-        # exact integer sum (dl are ints; exact in float64 to 2^53 tokens) —
-        # replaces the full-array sum the QLD path used to take
-        self._dl_total = float(dl_meta["dl_total"])
-        # transcripts mode mints DENSE ids 0..N-1: dl lookup is contiguous
-        # range slicing + per-shard dense gathers (the docmap analog of the
-        # reference's array-indexed structureIndex,
+        self.dl = read_doc_lengths(os.path.join(index_dir, "docmap"))
+        # exact integer token total (QLD's collection length)
+        self._dl_total = self.dl.total
+        # transcripts mode mints DENSE ids 0..N-1: dl is a plain array index
+        # (the reference's array-indexed structureIndex,
         # DefaultStructureIndexProvider.java:36-89); also gates the
         # scatter-accumulator scoring fast path below.
-        self._dense = bool(dl_meta["dense0"])
-        self._dl_obj = None  # resolved lazily per process (plasma zero-copy)
-        self._dl_fast = None  # lazy dense float64 view, budget-gated
-
-    #: docs budget for the resident dense-dl fast path — the SAME gate the
-    #: scatter-accumulator scoring path uses for its O(n_docs) float64
-    #: accumulator: below it an 8 B/doc array is conceded per actor (256 MB
-    #: at the cap), above it every dl lookup stays a sharded plasma gather.
-    #: Measured same-window: the fast path recovers the ~15-20% p95 the
-    #: per-shard gather costs on scatter-path queries at 1.3M docs.
-    DENSE_DL_BUDGET = 1 << 25
+        self._dense = self.dl.dense
 
     def _terms(self, text: str) -> list[str]:
         """Analyze one query/document string under the INDEX's analyzer
@@ -287,37 +265,6 @@ class Bm25Index:
         from .tokenize import analyze_text
 
         return analyze_text(text, self.analyzer, stopwords=self.stopwords)
-
-    @property
-    def dl_handle(self):
-        """(dl_ref, meta) — pass to sibling Bm25Index constructors to share
-        the plasma docmap shards instead of re-reading the parquet."""
-        return (self._dl_ref, {"dl_total": self._dl_total, "dense0": self._dense})
-
-    def dl(self, doc_ids: np.ndarray) -> np.ndarray:
-        fast = self._dl_fast
-        if fast is not None:
-            return fast[doc_ids]
-        obj = self._dl_obj
-        if obj is None:
-            import ray
-
-            obj = self._dl_obj = ray.get(self._dl_ref)
-        if self._dense and self.n_docs <= self.DENSE_DL_BUDGET:
-            # one-time per-actor concat on FIRST use (init stays O(#files));
-            # dense0 implies disjoint shards, i.e. obj is always a ShardedDl
-            # here (the merged-tuple fallback only exists when NOT disjoint)
-            fast = self._dl_fast = obj.gather(
-                np.arange(self.n_docs, dtype=np.int64), dtype=np.float64
-            )
-            return fast[doc_ids]
-        if isinstance(obj, tuple):
-            # merged fallback (overlapping docmap shards): one worker-built
-            # sorted lookup, zero-copy plasma view shared across the node
-            ids, dls = obj
-            pos = np.searchsorted(ids, doc_ids)
-            return dls[pos].astype(np.float64)
-        return obj.gather(doc_ids, dtype=np.float64)
 
     def metrics(self) -> dict:
         """Query-side serving metrics: reader counters (decoded runs,
@@ -1624,21 +1571,13 @@ class Bm25Index:
         string per FILE for the cross-file merge; conv strings for data rows
         never accumulate. Docmap files are contiguous non-overlapping docID
         ranges (the S2 writer contract, verified here); if a foreign docmap
-        ever violates that, we fall back to one global sort. Scale path:
-        the per-file pass is embarrassingly parallel (the ShardedDl
-        @ray.remote per-file reader pattern) and the merged starts shard
-        range-wise exactly like dl."""
+        ever violates that, we fall back to one global sort."""
         cached = getattr(self, "_conv_starts_arr", None)
         if cached is not None:
             return cached
-        import glob as _glob
-
         import pyarrow.parquet as _pq
 
-        root = os.path.join(self.index_dir, "docmap")
-        files = sorted(
-            _glob.glob(os.path.join(root, "**", "*.parquet"), recursive=True)
-        )
+        files = docmap_files(os.path.join(self.index_dir, "docmap"))
         recs = []  # (min_doc, max_doc, first_conv, last_conv, starts_local)
         for p in files:
             names = _pq.ParquetFile(p).schema_arrow.names
@@ -2142,7 +2081,7 @@ class Bm25Index:
 
             try:
                 dm = pq.read_table(
-                    os.path.join(self.index_dir, "docmap"),
+                    docmap_files(os.path.join(self.index_dir, "docmap")),
                     columns=["doc_id", "category"],
                 )
             except Exception as e:
@@ -2164,15 +2103,10 @@ class Bm25Index:
         cached = getattr(self, "_categories", None)
         if cached is not None:
             return cached
-        import glob as _glob
-
         import pyarrow.compute as _pc
 
         vals: set[str] = set()
-        files = sorted(
-            _glob.glob(os.path.join(self.index_dir, "docmap", "**", "*.parquet"),
-                       recursive=True)
-        )
+        files = docmap_files(os.path.join(self.index_dir, "docmap"))
         if not files:
             raise ValueError("index has no docmap")
         try:
@@ -2304,8 +2238,8 @@ class Bm25Queryer:
     """
 
     def __init__(self, index_dir: str, rank_round: int | None = None,
-                 conjunctive: bool = False, dl_handle=None):
-        self.index = Bm25Index(index_dir, dl_handle=dl_handle)
+                 conjunctive: bool = False):
+        self.index = Bm25Index(index_dir)
         self.rank_round = rank_round
         self.conjunctive = conjunctive
 
@@ -2339,16 +2273,10 @@ def batch_topk(
     import ray
     import ray.data
 
-    from .build import _build_dl_lookup
-
-    # one docmap read for the whole pool (plasma-shared dl shards)
-    dl_ref, _n, _avg, _fit, dl_meta = _build_dl_lookup(
-        os.path.join(index_dir, "docmap")
-    )
     qds = ray.data.from_items(queries)
     out = qds.map_batches(
         Bm25Queryer,
-        fn_constructor_args=(index_dir, rank_round, conjunctive, (dl_ref, dl_meta)),
+        fn_constructor_args=(index_dir, rank_round, conjunctive),
         batch_format="pyarrow",
         batch_size=max(1, len(queries) // max(1, concurrency)),
         # Autoscaling (1, n) pool: a FIXED pool sized == cluster CPUs deadlocks

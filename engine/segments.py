@@ -355,9 +355,7 @@ class SegmentReader:
         # ~16 B/entry -> 64M entries ~ 1 GiB/actor; must exceed the working
         # set of hot+query terms or the cache thrashes (measured: an 8M cap
         # at a 3.3M-doc corpus re-decoded every head term per query)
-        self.post_cache_max_entries = int(
-            os.environ.get("GRAFT_POSTINGS_CACHE_ENTRIES", 64_000_000)
-        )
+        self.post_cache_max_entries = 64_000_000
         self._blocks_cache: dict[str, list[dict]] = {}
         # query-side serving metrics (the per-partition lineage metrics'
         # read-path sibling): cheap int counters, read via

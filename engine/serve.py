@@ -26,7 +26,6 @@ gathered view. Results are asserted bit-identical to the single-reader engine.
 from __future__ import annotations
 
 import copy
-import os
 import time
 
 import numpy as np
@@ -49,12 +48,10 @@ class _Replica:
     """One serving replica: whole index resident (the reference's replica=
     one JVM with the full ffindex bundle + structure cache)."""
 
-    def __init__(self, index_dir: str, read_error_strategy: str = "throw",
-                 dl_handle=None):
+    def __init__(self, index_dir: str, read_error_strategy: str = "throw"):
         from .query import Bm25Index
 
-        self.bm = Bm25Index(index_dir, read_error_strategy=read_error_strategy,
-                            dl_handle=dl_handle)
+        self.bm = Bm25Index(index_dir, read_error_strategy=read_error_strategy)
 
     def topk(self, text: str, k: int, conjunctive: bool = False):
         fn = self.bm.conjunctive_topk if conjunctive else self.bm.topk
@@ -78,17 +75,9 @@ class QueryService:
     """
 
     def __init__(self, index_dir: str, n_replicas: int = 2, num_cpus: float = 1):
-        from .build import _build_dl_lookup
-
-        # ONE docmap read for the whole pool: the shards live once in plasma;
-        # every replica routes through the same refs (zero-copy per node)
-        dl_ref, _n, _avg, _fit, meta = _build_dl_lookup(
-            os.path.join(index_dir, "docmap")
-        )
+        # each replica reads its own docmap lengths (8-16 bytes per doc)
         self._replicas = [
-            _Replica.options(num_cpus=num_cpus).remote(
-                index_dir, dl_handle=(dl_ref, meta)
-            )
+            _Replica.options(num_cpus=num_cpus).remote(index_dir)
             for _ in range(n_replicas)
         ]
         self._next = 0
@@ -268,10 +257,8 @@ class ShardedQueryService:
       query), assembles a :class:`_GatheredView`, and runs the unchanged exact
       Bm25Index paths (exhaustive top-k / conjunctive block-skip) over it.
     - Resident state: each shard holds ~1/n_shards of payload bytes; the
-      coordinator holds O(#docmap files) dl-shard routing refs (the dl
-      arrays themselves are lazy zero-copy plasma views via
-      ``build.ShardedDl`` — no full-corpus array anywhere) and per-query
-      gathered runs only.
+      coordinator holds the docmap's doc lengths (one float64 per doc, plus
+      sorted ids when the id space has holes) and per-query gathered runs.
 
     >>> svc = ShardedQueryService(index_dir, n_shards=4)
     >>> doc_ids, scores = svc.topk("some query", k=10)

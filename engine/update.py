@@ -40,6 +40,14 @@ import ray.data
 
 from . import state
 from .build import _Router
+from .docmap import (
+    KeySnapshot,
+    docmap_files,
+    docmap_stats,
+    key_strings,
+    read_doc_lengths,
+    read_known_keys,
+)
 from .schema import POSITIONAL_SEGMENT_SCHEMA, SEGMENT_SCHEMA
 from .segments import decode_posting, encode_bucket
 from .tokenize import doc_length_batch, hash64_text, hash_scheme, tokenize_batch
@@ -49,17 +57,10 @@ def _docmap_dir(index_dir: str) -> str:
     return os.path.join(index_dir, "docmap")
 
 
-def _read_docmap(index_dir: str, columns=None) -> pa.Table:
-    return pq.read_table(_docmap_dir(index_dir), columns=columns)
-
-
 def _rewrite_docmap_marker(index_dir: str) -> tuple[int, float]:
-    # per-file shard tasks fold (n, dl_sum) off-driver — the driver never
-    # reads an O(n_docs) column (same discipline as build._build_dl_lookup;
-    # per-file integer sums are exact in float64, so avgdl is layout-stable)
-    from .build import _build_dl_lookup
-
-    _ref, n_docs, avgdl, _fit, _meta = _build_dl_lookup(_docmap_dir(index_dir))
+    # exact integer dl total folded file by file, so avgdl is layout-stable
+    facts = docmap_stats(_docmap_dir(index_dir))
+    n_docs, avgdl = facts.n_docs, facts.avgdl
     state.atomic_write_bytes(
         json.dumps({"n_docs": n_docs, "avgdl": avgdl}).encode(),
         os.path.join(_docmap_dir(index_dir), "_SUCCESS.json"),
@@ -82,16 +83,6 @@ def _refresh_stats(index_dir: str, n_docs: int, avgdl: float, generation: int) -
     return stats
 
 
-def _key_strings(conv: pa.Array | pa.ChunkedArray, turn: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """(conv_id, turn_idx) -> one sortable string key per row (vectorized)."""
-    k = pc.binary_join_element_wise(
-        conv, turn.cast(pa.int64()).cast(pa.string()), "\x1f"
-    )
-    if isinstance(k, pa.ChunkedArray):
-        k = k.combine_chunks()
-    return k.to_numpy(zero_copy_only=False).astype(str)
-
-
 @ray.remote
 def _nrows(tbl: pa.Table) -> int:
     return tbl.num_rows
@@ -104,119 +95,6 @@ def _assign_delta_ids(tbl: pa.Table, first_id: int) -> pa.Table:
         "doc_id", pa.array(first_id + np.arange(tbl.num_rows), pa.int64())
     )
     return out.drop_columns(["old_doc_id"]) if "old_doc_id" in out.column_names else out
-
-
-@ray.remote(num_returns=2)
-def _read_known_shard(path: str, transcripts: bool, has_hash: bool):
-    """One docmap file -> sorted known-key shard (keys, doc_ids, hashes) kept
-    in the object store; the driver folds only the O(1) metadata."""
-    cols = (["conv_id", "turn_idx", "doc_id"] if transcripts else ["doc_id"]) + (
-        ["content_hash"] if has_hash else []
-    )
-    t = pq.read_table(path, columns=cols)
-    if transcripts:
-        keys = _key_strings(t["conv_id"], t["turn_idx"])
-    else:
-        keys = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    o = np.argsort(keys, kind="stable")
-    keys = keys[o]
-    dids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)[o]
-    hs = (
-        t["content_hash"].to_numpy(zero_copy_only=False).astype(np.int64)[o]
-        if has_hash
-        else None
-    )
-    n = len(keys)
-    meta = {
-        "n": n,
-        "min": keys[0] if n else None,
-        "max": keys[-1] if n else None,
-        "max_doc": int(dids.max()) if n else -1,
-    }
-    return meta, (keys, dids, hs)
-
-
-@ray.remote
-def _merge_known_shards(*shards):
-    """Overlap fallback: one merged sorted snapshot, assembled WORKER-side."""
-    keys = np.concatenate([s[0] for s in shards])
-    dids = np.concatenate([s[1] for s in shards])
-    hs = (
-        np.concatenate([s[2] for s in shards])
-        if shards and shards[0][2] is not None
-        else None
-    )
-    o = np.argsort(keys, kind="stable")
-    return keys[o], dids[o], (hs[o] if hs is not None else None)
-
-
-class KnownKeys:
-    """Range-sharded known-key snapshot (the ``known.list`` analog,
-    io/DefaultStateRepository.java:40-116) — VERDICT-r2-style scale shape:
-    driver/task state is O(#shards) (sorted shard minima + ObjectRefs); each
-    classify task fetches only the shards its batch's keys touch (plasma-
-    cached per node), so nothing O(corpus keys) is ever broadcast whole."""
-
-    def __init__(self, mins: np.ndarray, shard_refs: list):
-        self.mins = mins
-        self.shard_refs = shard_refs
-
-    def lookup(self, bk: np.ndarray):
-        """-> (found mask, known doc_id or -1, known content_hash or 0)."""
-        n = len(bk)
-        found = np.zeros(n, dtype=bool)
-        dids = np.full(n, -1, dtype=np.int64)
-        hsh = np.zeros(n, dtype=np.int64)
-        if not len(self.mins) or n == 0:
-            return found, dids, hsh
-        sid = np.searchsorted(self.mins, bk, side="right") - 1
-        for s in np.unique(sid):
-            if s < 0:
-                continue  # below every shard's min: unknown
-            rows = np.flatnonzero(sid == s)
-            ks, ds_, hs = ray.get(self.shard_refs[int(s)])
-            kk = bk[rows]
-            pos = np.searchsorted(ks, kk)
-            inb = pos < len(ks)
-            f = np.zeros(len(kk), dtype=bool)
-            f[inb] = ks[pos[inb]] == kk[inb]
-            hit_rows = rows[f]
-            found[hit_rows] = True
-            dids[hit_rows] = ds_[pos[f]]
-            if hs is not None:
-                hsh[hit_rows] = hs[pos[f]]
-        return found, dids, hsh
-
-
-def _build_known_keys(index_dir: str, transcripts: bool, has_hash: bool):
-    """-> (KnownKeys, next_id). Per-docmap-file shard tasks + O(#files)
-    driver metadata; overlapping key ranges (delta docmaps interleaving the
-    base) fall back to a worker-side merged single shard."""
-    files = sorted(
-        os.path.join(root, f)
-        for root, _dirs, fs in os.walk(_docmap_dir(index_dir))
-        for f in fs
-        if f.endswith(".parquet")
-    )
-    meta_refs, data_refs = [], []
-    for p in files:
-        m, d = _read_known_shard.remote(p, transcripts, has_hash)
-        meta_refs.append(m)
-        data_refs.append(d)
-    metas = ray.get(meta_refs)
-    next_id = max((m["max_doc"] for m in metas), default=-1) + 1
-    live = [(m, r) for m, r in zip(metas, data_refs) if m["n"]]
-    live.sort(key=lambda x: x[0]["min"])
-    disjoint = all(
-        live[i + 1][0]["min"] > live[i][0]["max"] for i in range(len(live) - 1)
-    )
-    if not live:
-        return KnownKeys(np.array([], dtype=np.int64), []), next_id
-    if disjoint:
-        mins = np.array([m["min"] for m, _ in live])
-        return KnownKeys(mins, [r for _, r in live]), next_id
-    merged = _merge_known_shards.remote(*[r for _, r in live])
-    return KnownKeys(np.array([live[0][0]["min"]]), [merged]), next_id
 
 
 def _read_segment(path: str) -> pa.Table:
@@ -286,12 +164,9 @@ def add_documents(
        ONE RAY TASK PER TOUCHED PART appends the delta as new runs
        (run ids offset by ``generation * n_salts``; existing runs untouched).
 
-    Scale note: the known-key snapshot is RANGE-SHARDED per docmap file
-    (:class:`KnownKeys`): one Ray task per file builds its sorted shard in
-    the object store, the driver folds O(#files) metadata, and each classify
-    task fetches only the shards its batch's keys touch — nothing
-    O(corpus keys) is driver-resident or shipped whole. Overlapping key
-    ranges fall back to a worker-side merged shard.
+    The known-key snapshot (:class:`docmap.KeySnapshot`) is read from the
+    docmap in this process, sorted once, and ``ray.put`` once; it holds one
+    key, doc id and content hash per indexed doc.
     """
     stats = state.read_stats(index_dir)
     # revision hashes written at build time are compared against hashes this
@@ -313,13 +188,7 @@ def add_documents(
     ds = ray.data.read_parquet(source) if isinstance(source, str) else source
 
     # --- known-key snapshot (broadcast once) -----------------------------
-    dm_schema = pq.read_schema(
-        next(
-            os.path.join(_docmap_dir(index_dir), f)
-            for f in sorted(os.listdir(_docmap_dir(index_dir)))
-            if f.endswith(".parquet")
-        )
-    )
+    dm_schema = pq.read_schema(docmap_files(_docmap_dir(index_dir))[0])
     has_hash = "content_hash" in dm_schema.names
     cat_col = stats.get("category_col") if "category" in dm_schema.names else None
     # doc-values passthrough: deltas must carry every docvalues column the
@@ -343,14 +212,14 @@ def add_documents(
                 | set(dv_cols)
             )
         )
-    known_keys, next_id = _build_known_keys(index_dir, transcripts, has_hash)
-    kref = ray.put(known_keys)  # O(#shards) object; shard data ships on demand
+    known_keys, next_id = read_known_keys(_docmap_dir(index_dir), transcripts, has_hash)
+    kref = ray.put(known_keys)
 
     # --- stage 1: classify ------------------------------------------------
     def classify(batch: pa.Table) -> pa.Table:
-        kk: KnownKeys = ray.get(kref)
+        kk: KeySnapshot = ray.get(kref)
         if transcripts:
-            bk = _key_strings(batch["conv_id"], batch["turn_idx"])
+            bk = key_strings(batch["conv_id"], batch["turn_idx"])
         else:
             bk = batch[id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
         found, dids, hs = kk.lookup(bk)
@@ -633,12 +502,7 @@ def _purge_doc_ids(index_dir: str, remove: np.ndarray, codec: str = "varint") ->
     # into a temp dir, then swap — the docmap never passes through the driver
     import shutil
 
-    files = sorted(
-        os.path.join(root, f)
-        for root, _dirs, fs in os.walk(ddir)
-        for f in fs
-        if f.endswith(".parquet")
-    )
+    files = docmap_files(ddir)
     schema = pq.read_schema(files[0])
 
     def drop_removed(batch: pa.Table) -> pa.Table:
@@ -654,10 +518,10 @@ def _purge_doc_ids(index_dir: str, remove: np.ndarray, codec: str = "varint") ->
         drop_removed, batch_format="pyarrow"
     ).write_parquet(tmp_dir)
     os.makedirs(tmp_dir, exist_ok=True)  # zero surviving rows: no files emitted
-    new_files = sorted(f for f in os.listdir(tmp_dir) if f.endswith(".parquet"))
+    new_files = docmap_files(tmp_dir)
     if not new_files:  # every doc removed: keep a schema-complete empty docmap
-        pq.write_table(schema.empty_table(), os.path.join(tmp_dir, "part-empty.parquet"))
-        new_files = ["part-empty.parquet"]
+        new_files = [os.path.join(tmp_dir, "part-empty.parquet")]
+        pq.write_table(schema.empty_table(), new_files[0])
     # Crash-safe swap (ADVICE r3): every intermediate state keeps a complete
     # docmap on disk. Phase 1 renames originals into a backup dir; a COMMIT
     # marker then declares the backup authoritative; phase 2 renames the
@@ -671,9 +535,7 @@ def _purge_doc_ids(index_dir: str, remove: np.ndarray, codec: str = "varint") ->
     with open(os.path.join(backup, "COMMIT"), "w") as f:
         f.write("docmap evacuation complete; ddir parquet is new-generation\n")
     for i, f in enumerate(new_files):
-        os.replace(
-            os.path.join(tmp_dir, f), os.path.join(ddir, f"docmap-{i:04d}.parquet")
-        )
+        os.replace(f, os.path.join(ddir, f"docmap-{i:04d}.parquet"))
     # commit the delete with ONE atomic rename before any unlink: a crash
     # mid-rmtree must never leave a marker-less backup that the next
     # _recover_docmap_swap would "restore" over the new generation
@@ -710,7 +572,7 @@ def remove_documents(index_dir: str, *, conv_ids=None, doc_ids=None) -> dict:
     hit_blocks = [
         t
         for t in ray.get(
-            ray.data.read_parquet(_docmap_dir(index_dir), columns=cols)
+            ray.data.read_parquet(docmap_files(_docmap_dir(index_dir)), columns=cols)
             .map_batches(match, batch_format="pyarrow")
             .to_arrow_refs()
         )
@@ -790,14 +652,8 @@ def reindex(
     corpus on the driver.
     """
     stats = state.read_stats(src_dir)
-    dm_schema = pq.read_schema(
-        next(
-            os.path.join(r, f)
-            for r, _d, fs in os.walk(_docmap_dir(src_dir))
-            for f in sorted(fs)
-            if f.endswith(".parquet")
-        )
-    )
+    files = docmap_files(_docmap_dir(src_dir))
+    dm_schema = pq.read_schema(files[0])
     if "text" not in dm_schema.names:
         raise ValueError(
             "reindex requires an index built with store_text=True "
@@ -813,12 +669,6 @@ def reindex(
         cols += ["doc_id"]
     if cat_col and "category" in dm_schema.names and "category" not in cols:
         cols.append("category")
-    files = sorted(
-        os.path.join(r, f)
-        for r, _d, fs in os.walk(_docmap_dir(src_dir))
-        for f in fs
-        if f.endswith(".parquet")
-    )
     ds = ray.data.read_parquet(files, columns=sorted(set(cols)))
     if cat_col and cat_col != "category" and "category" in ds.schema().names:
         # the docmap stores the class column under the fixed name "category";
@@ -893,35 +743,6 @@ def _copy_file(src: str, dst: str) -> None:
     os.replace(tmp, dst)
 
 
-@ray.remote
-def _id_collisions(dst_dl, path: str) -> int:
-    """#src docIDs (one docmap file) already present in dst — routed through
-    dst's range-sharded id shards, nothing O(corpus) anywhere."""
-    ids = np.sort(
-        pq.read_table(path, columns=["doc_id"])["doc_id"]
-        .to_numpy(zero_copy_only=False)
-        .astype(np.int64)
-    )
-    if not hasattr(dst_dl, "mins"):  # overlap-fallback single sorted lookup
-        shard_ids, _dls = dst_dl
-        if not len(shard_ids) or not len(ids):
-            return 0
-        pos = np.clip(np.searchsorted(shard_ids, ids), 0, len(shard_ids) - 1)
-        return int((shard_ids[pos] == ids).sum())
-    sid = np.searchsorted(dst_dl.mins, ids, side="right") - 1
-    n = 0
-    for s in np.unique(sid[sid >= 0]):
-        m = sid == s
-        shard_ids, dls, lo = dst_dl._shard(int(s))
-        d = ids[m]
-        if shard_ids is None:  # dense shard: presence == in-range
-            n += int(((d >= lo) & (d < lo + len(dls))).sum())
-        else:
-            pos = np.clip(np.searchsorted(shard_ids, d), 0, len(shard_ids) - 1)
-            n += int((shard_ids[pos] == d).sum())
-    return n
-
-
 def merge_indexes(dst_dir: str, src_dir: str) -> dict:
     """Graft every posting run of ``src_dir`` into ``dst_dir`` — the
     two-bundle variant of the reference's concat-onto-existing-bucket merge
@@ -934,9 +755,9 @@ def merge_indexes(dst_dir: str, src_dir: str) -> dict:
     always includes the cold bucket, so every run stays reachable).
 
     Refuses on mismatched routing/codec contracts and on any docID
-    collision (checked distributed: one task per src docmap file against
-    dst's range-sharded id shards). Requires id-mode indexes — transcripts
-    bundles both mint dense ids from 0 and always collide."""
+    collision (src ids looked up in dst's sorted ids, read in process).
+    Requires id-mode indexes — transcripts bundles both mint dense ids from
+    0 and always collide."""
     dst = state.read_stats(dst_dir)
     src = state.read_stats(src_dir)
     for key in ("n_buckets", "n_salts", "postings_codec", "hash_scheme",
@@ -964,13 +785,7 @@ def merge_indexes(dst_dir: str, src_dir: str) -> dict:
     # side, a differently-typed docvalue — would produce a mixed-schema
     # docmap whose text/values surfaces fail long after the merge "succeeded"
     def _docmap_schema(d: str) -> dict[str, str]:
-        files = sorted(
-            os.path.join(root, f)
-            for root, _dirs, fs in os.walk(_docmap_dir(d))
-            for f in fs
-            if f.endswith(".parquet")
-        )
-        s = pq.read_schema(files[0])
+        s = pq.read_schema(docmap_files(_docmap_dir(d))[0])
         return {n: str(t) for n, t in zip(s.names, s.types)}
 
     a, b = _docmap_schema(dst_dir), _docmap_schema(src_dir)
@@ -981,12 +796,7 @@ def merge_indexes(dst_dir: str, src_dir: str) -> dict:
             "store_text/category/docvalues settings"
         )
 
-    src_files = sorted(
-        os.path.join(root, f)
-        for root, _dirs, fs in os.walk(_docmap_dir(src_dir))
-        for f in fs
-        if f.endswith(".parquet")
-    )
+    src_files = docmap_files(_docmap_dir(src_dir))
     src_docs = sum(pq.read_metadata(p).num_rows for p in src_files)
 
     # Crash-resume journal: the collision check is only valid BEFORE any src
@@ -1009,16 +819,9 @@ def merge_indexes(dst_dir: str, src_dir: str) -> dict:
             )
         generation = int(journal["generation"])
     else:
-        from .build import _build_dl_lookup
-
-        dl_ref, _dst_docs, _dst_avgdl, _fit, _meta = _build_dl_lookup(
-            _docmap_dir(dst_dir)
-        )
-        # dl_ref auto-dereferences inside each task (ShardedDl or the legacy
-        # merged (ids, dls) overlap fallback — _id_collisions handles both)
-        collisions = sum(
-            ray.get([_id_collisions.remote(dl_ref, p) for p in src_files])
-        )
+        dst_dl = read_doc_lengths(_docmap_dir(dst_dir))
+        src_ids = read_doc_lengths(_docmap_dir(src_dir)).ids
+        collisions = int(dst_dl.contains(src_ids).sum())
         if collisions:
             raise ValueError(
                 f"merge refused: docID spaces overlap — {collisions} src "

@@ -274,15 +274,9 @@ def test_stopped_index_roundtrip(ray_session, tmp_path):
     assert len(bm.topk("the", k=10)[0]) == 0
     d, _ = bm.topk("the fox", k=10)
     assert sorted(d.tolist()) == [0, 1]
-    from engine.build import ShardedDl, _build_dl_lookup
+    from engine.docmap import read_doc_lengths
 
-    dl_ref, _n, _avg, _fit, _meta = _build_dl_lookup(idx + "/docmap")
-    import numpy as np
-
-    import ray as _ray
-
-    sdl = _ray.get(dl_ref) if not isinstance(dl_ref, ShardedDl) else dl_ref
-    got = sdl.gather(np.array([0, 1, 2], dtype=np.int64))
+    got = read_doc_lengths(idx + "/docmap")(np.array([0, 1, 2], dtype=np.int64))
     assert got.tolist() == [2, 1, 2]
 
 

@@ -224,73 +224,6 @@ def test_docid_assignment_validates_turn_gaps(ray_session):
         add_doc_ids(dup, build_conv_offset_index(dup)).materialize()
 
 
-def test_sharded_dl_lookup_and_overlap_fallback(ray_session, tmp_path):
-    """VERDICT r2 #4: the per-docmap-file dl lookup routes gathers by
-    disjoint id ranges (ShardedDl); when file ranges OVERLAP it must fall
-    back to the worker-side merged lookup — both paths gather exact dl."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
-    from engine.build import ShardedDl, _build_dl_lookup
-
-    def write_docmap(dirname, id_lists):
-        d = str(tmp_path / dirname)
-        os.makedirs(d)
-        for i, ids in enumerate(id_lists):
-            ids = np.asarray(ids, dtype=np.int64)
-            pq.write_table(
-                pa.table(
-                    {
-                        "doc_id": pa.array(ids, pa.int64()),
-                        "dl": pa.array(ids * 2 + 1, pa.int32()),
-                    }
-                ),
-                os.path.join(d, f"docmap-{i:04d}.parquet"),
-            )
-        return d
-
-    # disjoint ranges (one dense, one sparse) -> sharded path
-    d1 = write_docmap("dm_disjoint", [[0, 1, 2, 3], [10, 12, 19]])
-    ref, n_docs, avgdl, fit32, meta1 = _build_dl_lookup(d1)
-    lookup = ray.get(ref) if not isinstance(ref, ShardedDl) else ref
-    assert isinstance(lookup, ShardedDl) and n_docs == 7 and fit32
-    want_ids = np.array([3, 0, 19, 10, 2], dtype=np.int64)
-    np.testing.assert_array_equal(lookup.gather(want_ids), want_ids * 2 + 1)
-    assert avgdl == pytest.approx(float(np.mean([1, 3, 5, 7, 21, 25, 39])))
-    # meta facts (query side relies on these without touching the docmap):
-    # exact integer dl sum; sparse second shard means NOT dense-from-0
-    assert meta1["dl_total"] == float(sum([1, 3, 5, 7, 21, 25, 39]))
-    assert meta1["dense0"] is False and meta1["n_files"] == 2
-
-    # overlapping ranges -> legacy merged tuple assembled worker-side
-    d2 = write_docmap("dm_overlap", [[0, 5, 9], [3, 7, 11]])
-    ref2, n2, _avg2, _, meta2 = _build_dl_lookup(d2)
-    merged = ray.get(ref2)
-    assert isinstance(merged, tuple) and n2 == 6
-    ids_sorted, dls = merged
-    got = dls[np.searchsorted(ids_sorted, np.array([7, 0, 11]))]
-    np.testing.assert_array_equal(got, np.array([7, 0, 11]) * 2 + 1)
-
-    # ADVICE r3: unknown ids must RAISE, never silently mis-route —
-    # below the first shard (would negative-index the last shard), in a
-    # sparse-shard gap, and past the dense shard's end.
-    d3 = write_docmap("dm_guard", [[5, 6, 7, 8], [20, 22, 29]])
-    ref3, _n3, _a3, _, meta3 = _build_dl_lookup(d3)
-    lookup3 = ray.get(ref3) if not isinstance(ref3, ShardedDl) else ref3
-    assert isinstance(lookup3, ShardedDl)
-    for bad in ([1], [21], [9]):
-        with pytest.raises(KeyError):
-            lookup3.gather(np.asarray(bad, dtype=np.int64))
-    np.testing.assert_array_equal(
-        lookup3.gather(np.array([29, 5], dtype=np.int64)),
-        np.array([29, 5]) * 2 + 1,
-    )
-
-
 def test_docmap_swap_crash_recovery(tmp_path):
     """ADVICE r3: _purge_doc_ids' docmap swap must leave a complete docmap
     recoverable from EVERY crash state. Simulate a crash during evacuation
@@ -355,53 +288,6 @@ def test_docmap_swap_crash_recovery(tmp_path):
     assert sorted(os.listdir(ddir)) == ["docmap-0000.parquet"]
     assert open(os.path.join(ddir, "docmap-0000.parquet")).read() == "NEWGEN"
     assert not os.path.isdir(ddir + ".old.deleting")
-
-
-def test_known_keys_sharded_and_overlap_fallback(ray_session, tmp_path):
-    """Range-sharded known-key snapshot: disjoint docmap files route by
-    range; overlapping key ranges fall back to the worker-side merged shard.
-    Both paths resolve (found, doc_id, content_hash) exactly."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from engine.update import _build_known_keys, _docmap_dir
-
-    def write_idx(name, key_lists):
-        idx = str(tmp_path / name)
-        dd = os.path.join(idx, "docmap")
-        os.makedirs(dd)
-        for i, keys in enumerate(key_lists):
-            keys = np.asarray(keys, dtype=np.int64)
-            pq.write_table(
-                pa.table(
-                    {
-                        "doc_id": pa.array(keys, pa.int64()),
-                        "content_hash": pa.array(keys * 7, pa.int64()),
-                    }
-                ),
-                os.path.join(dd, f"docmap-{i:04d}.parquet"),
-            )
-        return idx
-
-    # doc_id-keyed (non-transcripts) index, disjoint file ranges
-    idx = write_idx("kk_disjoint", [[1, 3, 5], [10, 11, 20]])
-    kk, next_id = _build_known_keys(idx, transcripts=False, has_hash=True)
-    assert next_id == 21 and len(kk.shard_refs) == 2
-    found, dids, hsh = kk.lookup(np.array([5, 0, 20, 11, 99], dtype=np.int64))
-    np.testing.assert_array_equal(found, [True, False, True, True, False])
-    np.testing.assert_array_equal(dids[found], [5, 20, 11])
-    np.testing.assert_array_equal(hsh[[0, 2, 3]], [35, 140, 77])
-
-    # overlapping ranges -> single merged shard
-    idx2 = write_idx("kk_overlap", [[1, 9], [4, 12]])
-    kk2, next_id2 = _build_known_keys(idx2, transcripts=False, has_hash=True)
-    assert next_id2 == 13 and len(kk2.shard_refs) == 1
-    found2, dids2, _ = kk2.lookup(np.array([9, 4, 2], dtype=np.int64))
-    np.testing.assert_array_equal(found2, [True, True, False])
-    np.testing.assert_array_equal(dids2[:2], [9, 4])
 
 
 def test_auto_buckets_resolution_and_resume(ray_session, tiny_corpus, tmp_path):
