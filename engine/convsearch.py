@@ -33,7 +33,6 @@ lookup (docmap.DocLengths).
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -41,7 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .docmap import docmap_files
-from .schema import BM25_B, BM25_K1
+from .query import Bm25Index, bm25_contrib, bm25_idf, rank_topk
 
 _DYADIC_DENOM = 64  # weights must be multiples of 1/64 (exactness contract)
 
@@ -160,22 +159,15 @@ def bm25f_conv_topk(
         sidx = np.flatnonzero(starts)
         uc = ci[sidx]
         tfw = np.add.reduceat(w * tfs, sidx)  # exact dyadic sums
-        df = len(uc)  # conv-level df: distinct convs containing the term
-        idf = math.log(1.0 + (n_convs - df + 0.5) / (df + 0.5))
-        denom = tfw + BM25_K1 * (1.0 - BM25_B + BM25_B * dlw[uc] / avgdlw)
-        contrib = idf * tfw * (BM25_K1 + 1.0) / denom
-        per_term.append((uc, contrib))
+        # conv-level df: distinct convs containing the term
+        idf = bm25_idf(len(uc), n_convs)
+        per_term.append((uc, bm25_contrib(idf, tfw, dlw[uc], avgdlw)))
 
     if not per_term:
         return empty
-    cand = np.unique(np.concatenate([uc for uc, _ in per_term]))
+    cand, positions = Bm25Index._union([uc for uc, _ in per_term])
     acc = np.zeros(len(cand), dtype=np.float64)
-    for uc, contrib in per_term:  # ascending-term order fixed above
-        acc[np.searchsorted(cand, uc)] += contrib
-    key = np.round(acc, rank_round) if rank_round is not None else acc
-    if len(cand) > k:
-        kth = key[np.argpartition(-key, k - 1)[k - 1]]
-        keep = np.flatnonzero(key >= kth)
-        cand, acc, key = cand[keep], acc[keep], key[keep]
-    order = np.lexsort((cand, -key))[:k]
-    return conv_stats["conv_id"][cand[order]], acc[order]
+    for (_, contrib), pos in zip(per_term, positions):  # ascending-term order
+        acc[pos] += contrib
+    cand, acc = rank_topk(cand, acc, k, rank_round)
+    return conv_stats["conv_id"][cand], acc

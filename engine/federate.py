@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .docmap import docmap_files
-from .query import Bm25Index
+from .query import Bm25Index, rank_topk
 
 
 class Federation:
@@ -186,8 +186,4 @@ class Federation:
         the merged candidate union — same contract as ``Bm25Index.topk``.
         ``field_range`` routes through the member-pruned rollover path."""
         doc, score = self.score_all(query_text, field_range=field_range)
-        if not len(doc):
-            return doc, score
-        key = np.round(score, rank_round) if rank_round is not None else score
-        order = np.lexsort((doc, -key))[:k]
-        return doc[order], score[order]
+        return rank_topk(doc, score, k, rank_round)

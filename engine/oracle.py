@@ -5,6 +5,9 @@ StructureIntegrationTest.java:151-204 asserts exactly 788 hits against a
 pre-built bundle, our tests assert rank-identical top-k docIDs and BM25 scores
 of the distributed engine against THIS implementation. Deliberately naive
 (dicts + per-token loops), independent of the Ray/Arrow/numpy code paths.
+It is the only statement of the BM25 formula in ``engine/`` besides the
+kernel in ``engine.query`` (``bm25_idf``, ``bm25_contrib``, ``rank_topk``),
+which every engine scoring surface calls; it deliberately does not call it.
 
 BM25 specification (the contract for engine, oracle, and DuckDB oracle SQL):
 

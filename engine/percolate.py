@@ -16,12 +16,15 @@ corpus stats + per-term df are loaded once per actor (T3/T5 analog).
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pyarrow as pa
 
-from .schema import BM25_B, BM25_K1
+from .query import (
+    _eval_bool_tree,
+    bm25_contrib,
+    bm25_idf,
+    boolean_query_leaves,
+    parse_boolean_query,
+)
 from .tokenize import analyze_text
 
 
@@ -55,8 +58,6 @@ class Percolator:
             if mode == "boolean":
                 # stored expression queries ({"query_id", "expr"}): same
                 # parse/eval machinery and match semantics as boolean_topk
-                from .query import boolean_query_leaves, parse_boolean_query
-
                 tree = parse_boolean_query(
                     q["expr"],
                     analyze=lambda s: analyze_text(
@@ -84,10 +85,17 @@ class Percolator:
                 }
             )
 
-    def _idf(self, df: int) -> float:
-        if df == 0:
-            return 0.0
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+    def _score(self, q: dict, tf: dict[str, int], dl: float) -> float:
+        """BM25 of one stored query against one document (term -> tf, length
+        ``dl``) under the corpus stats: ascending-term sum over the query
+        terms the doc holds and the index knows, as ``score_all`` adds them."""
+        score = 0.0
+        for t in q["terms"]:
+            if t in tf and q["df"][t]:
+                score += bm25_contrib(
+                    bm25_idf(q["df"][t], self.n_docs), tf[t], dl, self.avgdl
+                )
+        return score
 
     def percolate(self, text: str) -> list[tuple[str, float]]:
         """All stored queries matching this document, scored, best first.
@@ -119,8 +127,6 @@ class Percolator:
             tf[t] = tf.get(t, 0) + 1
         dl = float(sum(tf.values()))
         if self.mode == "boolean":
-            from .query import _eval_bool_tree
-
             out = []
             for q in self.queries:
                 # a leaf is true iff the term is in THIS doc and indexed —
@@ -131,15 +137,8 @@ class Percolator:
                     q["tree"], lambda t: df[t] > 0 and t in tf
                 ):
                     continue
-                score = 0.0
-                for t in q["terms"]:  # ascending positive leaves
-                    if t not in tf or df[t] == 0:
-                        continue
-                    tff = float(tf[t])
-                    score += self._idf(df[t]) * tff * (BM25_K1 + 1.0) / (
-                        tff + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / self.avgdl)
-                    )
-                out.append((q["query_id"], score))
+                # scored over the positive leaves
+                out.append((q["query_id"], self._score(q, tf, dl)))
             out.sort(key=lambda x: (-x[1], x[0]))
             return out
         out = []
@@ -157,15 +156,7 @@ class Percolator:
                 # conjunctive: every term must be present AND indexed — topk
                 # conjunctive returns nothing for a query with an absent term
                 continue
-            score = 0.0
-            for t in q["terms"]:  # ascending term order: oracle-identical sum
-                if t not in tf:
-                    continue
-                tff = float(tf[t])
-                score += self._idf(q["df"][t]) * tff * (BM25_K1 + 1.0) / (
-                    tff + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / self.avgdl)
-                )
-            out.append((q["query_id"], score))
+            out.append((q["query_id"], self._score(q, tf, dl)))
         out.sort(key=lambda x: (-x[1], x[0]))
         return out
 

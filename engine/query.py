@@ -13,6 +13,10 @@ Ours: per-query exact BM25 over decoded postings with
   DefaultStrucmotifRuntime.java:138-154 — and sorts downstream);
 - exhaustive top-k: every doc holding a query term is scored, then an
   argpartition keeps the k best (plus kth-score ties) for the exact sort;
+- one kernel: ``bm25_idf``, ``bm25_contrib`` and ``rank_topk`` below are the
+  engine's one statement of the BM25 formula and of the top-k select; every
+  scoring surface (here, ``convsearch``, ``percolate``, ``federate``) calls
+  them, and ``engine.oracle`` is the only other, independent, statement;
 - rarest-first term processing for conjunctive (AND) queries, with early
   exit once the candidate set empties (O1 analog: ResiduePairOccurrence
   informativeness ordering);
@@ -34,6 +38,43 @@ from .docmap import docmap_files, read_doc_lengths
 from .schema import BM25_B, BM25_K1
 from .segments import SegmentReader
 from .tokenize import tokenize_text
+
+
+def bm25_idf(df: int, n: int) -> float:
+    """``ln(1 + (n - df + 0.5) / (df + 0.5))`` over ``n`` docs; 0.0 for an
+    absent term (df == 0)."""
+    if df == 0:
+        return 0.0
+    return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+
+
+def bm25_contrib(idf, tf, dl, avgdl):
+    """One term's BM25 contribution ``idf * tf*(k1+1) / (tf + k1*(1 - b +
+    b*dl/avgdl))``. ``tf``/``dl`` are numpy arrays (one entry per doc) or
+    Python scalars (percolate scores one doc at a time); the float evaluation
+    order is fixed here, so every surface adds bit-identical contributions."""
+    tff = tf.astype(np.float64) if isinstance(tf, np.ndarray) else float(tf)
+    return idf * tff * (BM25_K1 + 1.0) / (
+        tff + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl)
+    )
+
+
+def rank_topk(
+    doc: np.ndarray, score: np.ndarray, k: int, rank_round: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic top-k select: descending score (rounded to
+    ``rank_round`` decimals when given), ascending doc on ties. An
+    argpartition prune keeps the k best plus every doc tied with the kth key
+    before the exact ``lexsort``, so the result equals a full sort's."""
+    if len(doc) == 0:
+        return doc, score
+    key = np.round(score, rank_round) if rank_round is not None else score
+    if len(doc) > k:
+        kth = key[np.argpartition(-key, k - 1)[k - 1]]
+        keep = np.flatnonzero(key >= kth)
+        doc, score, key = doc[keep], score[keep], key[keep]
+    order = np.lexsort((doc, -key))[:k]
+    return doc[order], score[order]
 
 
 def wildcard_to_regex(pattern: str) -> str:
@@ -280,10 +321,31 @@ class Bm25Index:
         return out
 
     def idf(self, term: str) -> float:
-        df = self.reader.df(term)
-        if df == 0:
-            return 0.0
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+        return bm25_idf(self.reader.df(term), self.n_docs)
+
+    def _live_postings(self, terms) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """(term, docs, tfs) of every distinct term in ``terms`` that has
+        postings, in ascending term order — the accumulation order every
+        scoring surface shares with the oracle."""
+        out = []
+        for t in sorted(set(terms)):
+            doc, tf = self.reader.postings(t)
+            if len(doc):
+                out.append((t, doc, tf))
+        return out
+
+    @staticmethod
+    def _union(docs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Sorted union of several docID arrays plus, per array, the
+        positions of its docs in that union: one unique() over the
+        concatenation replaces a searchsorted per array."""
+        candidates, inverse = np.unique(np.concatenate(docs), return_inverse=True)
+        # plain slices, not np.split: its Python overhead is ~10x theirs
+        positions, lo = [], 0
+        for d in docs:
+            positions.append(inverse[lo : lo + len(d)])
+            lo += len(d)
+        return candidates, positions
 
     def score_all(
         self, query_text: str, global_stats: dict | None = None
@@ -307,18 +369,12 @@ class Bm25Index:
             if global_stats is None
             else (lambda t, local_df: int(global_stats["df"][t]))
         )
-        terms = sorted(set(self._terms(query_text)))
-        postings = []
-        for t in terms:
-            doc, tf = self.reader.postings(t)
-            if len(doc):
-                postings.append((t, doc, tf))
+        postings = self._live_postings(self._terms(query_text))
         if not postings:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         if len(postings) == 1:
             # single-term fast path: the posting IS the sorted candidate set
-            candidates = postings[0][1]
-            positions = [np.arange(len(candidates))]
+            candidates, positions = postings[0][1], [slice(None)]
         elif self._dense and (
             self.n_docs <= (1 << 25)
             or self.n_docs <= 4 * sum(len(d) for _, d, _ in postings)
@@ -332,42 +388,24 @@ class Bm25Index:
             # when the postings themselves are within 4x of that footprint —
             # otherwise the unique()-merge path below (O(postings) memory)
             # computes the same bits.
-            acc_full = np.zeros(self.n_docs, dtype=np.float64)
-            seen = np.zeros(self.n_docs, dtype=bool)
-            for t, doc, tf in postings:  # ascending term order
-                df = df_of(t, len(doc))
-                idf = math.log(1.0 + (n_eff - df + 0.5) / (df + 0.5))
-                tff = tf.astype(np.float64)
-                acc_full[doc] += idf * tff * (BM25_K1 + 1.0) / (
-                    tff + BM25_K1 * (1.0 - BM25_B + BM25_B * self.dl(doc) / avgdl_eff)
-                )
-                seen[doc] = True
-            # candidate extraction scans the 1-byte mask, not the 8-byte
-            # accumulator (this host is bandwidth-starved; measured ~8 ms per
-            # query at 1.3M docs on the float scan). Identical results: every
-            # posting contribution is strictly positive (idf > 0 for df >= 1),
-            # so seen == (acc_full != 0) exactly.
-            candidates = np.flatnonzero(seen)  # ascending docIDs
-            return candidates, acc_full[candidates]
+            candidates, positions = None, [d for _, d, _ in postings]
         else:
-            # one unique() over the concatenation yields candidates AND every
-            # term's accumulate positions — replaces T per-term searchsorted
-            concat = np.concatenate([d for _, d, _ in postings])
-            candidates, inverse = np.unique(concat, return_inverse=True)
-            positions, lo = [], 0
-            for _, d, _ in postings:
-                positions.append(inverse[lo : lo + len(d)])
-                lo += len(d)
-        acc = np.zeros(len(candidates), dtype=np.float64)
+            candidates, positions = self._union([d for _, d, _ in postings])
+        acc = np.zeros(self.n_docs if candidates is None else len(candidates))
         for (t, doc, tf), pos in zip(postings, positions):  # ascending term order
-            df = df_of(t, len(doc))
-            idf = math.log(1.0 + (n_eff - df + 0.5) / (df + 0.5))
-            dl = self.dl(doc)
-            tff = tf.astype(np.float64)
-            contrib = idf * tff * (BM25_K1 + 1.0) / (
-                tff + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl_eff)
-            )
-            acc[pos] += contrib
+            idf = bm25_idf(df_of(t, len(doc)), n_eff)
+            acc[pos] += bm25_contrib(idf, tf, self.dl(doc), avgdl_eff)
+        if candidates is None:
+            # candidate extraction scans a 1-byte mask, not the 8-byte
+            # accumulator (the scan is memory-bound: the float scan measured
+            # ~8 ms per query at 1.3M docs). Identical results: every
+            # posting contribution is strictly positive (idf > 0 for df >= 1),
+            # so seen == (acc != 0) exactly.
+            seen = np.zeros(self.n_docs, dtype=bool)
+            for doc in positions:
+                seen[doc] = True
+            candidates = np.flatnonzero(seen)  # ascending docIDs
+            acc = acc[candidates]
         return candidates, acc
 
     def dismax_topk(
@@ -388,37 +426,21 @@ class Bm25Index:
 
         Cost is the same postings-bounded pass as ``score_all`` with a second
         float64 accumulator for the running max."""
-        terms = sorted(set(self._terms(query_text)))
-        postings = []
-        for t in terms:
-            doc, tf = self.reader.postings(t)
-            if len(doc):
-                postings.append((t, doc, tf))
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+        postings = self._live_postings(self._terms(query_text))
         if not postings:
-            return empty
-        concat = np.concatenate([d for _, d, _ in postings])
-        candidates, inverse = np.unique(concat, return_inverse=True)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        candidates, positions = self._union([d for _, d, _ in postings])
         acc = np.zeros(len(candidates), dtype=np.float64)
         mx = np.zeros(len(candidates), dtype=np.float64)
-        lo = 0
-        for t, doc, tf in postings:  # ascending term order
-            pos = inverse[lo : lo + len(doc)]
-            lo += len(doc)
-            df = len(doc)
-            idf = math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
-            tff = tf.astype(np.float64)
-            contrib = idf * tff * (BM25_K1 + 1.0) / (
-                tff + BM25_K1 * (1.0 - BM25_B + BM25_B * self.dl(doc) / self.avgdl)
+        for (t, doc, tf), pos in zip(postings, positions):  # ascending term order
+            contrib = bm25_contrib(
+                bm25_idf(len(doc), self.n_docs), tf, self.dl(doc), self.avgdl
             )
             acc[pos] += contrib
             # pos is unique within one term (one posting per doc), so a
             # gather-compare-scatter is an exact segmented running max
             mx[pos] = np.maximum(mx[pos], contrib)
-        score = mx + tie_breaker * (acc - mx)
-        key = np.round(score, rank_round) if rank_round is not None else score
-        order = np.lexsort((candidates, -key))[:k]
-        return candidates[order], score[order]
+        return rank_topk(candidates, mx + tie_breaker * (acc - mx), k, rank_round)
 
     def explain(
         self, query_text: str, k: int, rank_round: int | None = None
@@ -455,13 +477,11 @@ class Bm25Index:
             present = ds_sorted[mask]
             if not len(present):
                 continue
-            tff = tf[idx_c[mask]].astype(np.float64)
-            df = len(doc)
-            idf = math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
-            contrib = idf * tff * (BM25_K1 + 1.0) / (
-                tff
-                + BM25_K1
-                * (1.0 - BM25_B + BM25_B * self.dl(present) / self.avgdl)
+            contrib = bm25_contrib(
+                bm25_idf(len(doc), self.n_docs),
+                tf[idx_c[mask]],
+                self.dl(present),
+                self.avgdl,
             )
             out_doc.extend(present.tolist())
             out_rank.extend(rank_of[int(x)] for x in present.tolist())
@@ -529,17 +549,7 @@ class Bm25Index:
             vals = self.docvalues_i64(doc, field)
             mask = (vals >= int(lo)) & (vals <= int(hi))
             doc, score = doc[mask], score[mask]
-        if len(doc) == 0:
-            return doc, score
-        key = np.round(score, rank_round) if rank_round is not None else score
-        if len(doc) > k:
-            # argpartition prune before the exact ordering sort; keep every doc
-            # tied with the kth key so the final tie-break stays exact
-            kth = key[np.argpartition(-key, k - 1)[k - 1]]
-            keep = np.flatnonzero(key >= kth)
-            doc, score, key = doc[keep], score[keep], key[keep]
-        order = np.lexsort((doc, -key))[:k]
-        return doc[order], score[order]
+        return rank_topk(doc, score, k, rank_round)
 
     def _block_docs_tfs(self, run: dict, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Decode ONE 128-doc block out of a run (independent random access).
@@ -561,14 +571,6 @@ class Bm25Index:
         docs = base + np.cumsum(deltas)
         tfs = cdc.decode_block(run["tf_blob"][t1:t2], n_vals).astype(np.int64)
         return docs, tfs
-
-    def _contrib(self, idf: float, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
-        # EXACTLY score_all's expression (same float evaluation order), so
-        # every scoring surface returns bit-identical per-term contributions
-        tff = tf.astype(np.float64)
-        return idf * tff * (BM25_K1 + 1.0) / (
-            tff + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / self.avgdl)
-        )
 
     def conjunctive_topk(
         self, query_text: str, k: int, rank_round: int | None = None
@@ -593,16 +595,10 @@ class Bm25Index:
         acc = np.zeros(len(candidates), dtype=np.float64)
         for t in terms:
             doc, tf = partial[t]
-            df = self.reader.df(t)  # true df, not the partial-decode length
-            idf = math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
             sel = np.searchsorted(doc, candidates)
-            tff = tf[sel].astype(np.float64)
-            acc += idf * tff * (BM25_K1 + 1.0) / (
-                tff + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / self.avgdl)
-            )
-        key = np.round(acc, rank_round) if rank_round is not None else acc
-        order = np.lexsort((candidates, -key))[:k]
-        return candidates[order], acc[order]
+            # self.idf reads the true df, not the partial-decode length
+            acc += bm25_contrib(self.idf(t), tf[sel], dl, self.avgdl)
+        return rank_topk(candidates, acc, k, rank_round)
 
     def _conjunctive_candidates(
         self, terms: list[str]
@@ -960,8 +956,8 @@ class Bm25Index:
         idf_sum = 0.0
         for t in sorted(set(flat_terms)):  # ascending-term sum, like score_all
             idf_sum += self.idf(t)
-        score = self._contrib(idf_sum, sf, self.dl(cand))
-        return self._rank_topk(cand, score, k, rank_round)
+        score = bm25_contrib(idf_sum, sf, self.dl(cand), self.avgdl)
+        return rank_topk(cand, score, k, rank_round)
 
     def best_passages(
         self,
@@ -1038,21 +1034,6 @@ class Bm25Index:
             np.concatenate(pos_lists) if len(pos_lists) else empty[1],
         )
 
-    def _rank_topk(
-        self, doc: np.ndarray, score: np.ndarray, k: int, rank_round: int | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Shared deterministic ranking tail: (-rounded key, doc_id) order,
-        argpartition prune keeping kth-key ties (same contract as topk)."""
-        if len(doc) == 0:
-            return doc, score
-        key = np.round(score, rank_round) if rank_round is not None else score
-        if len(doc) > k:
-            kth = key[np.argpartition(-key, k - 1)[k - 1]]
-            keep = np.flatnonzero(key >= kth)
-            doc, score, key = doc[keep], score[keep], key[keep]
-        order = np.lexsort((doc, -key))[:k]
-        return doc[order], score[order]
-
     def topk_msm(
         self, query_text: str, m: int, k: int, rank_round: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1067,32 +1048,23 @@ class Bm25Index:
         the inverse) — the >= m filter prunes before any float scoring, so
         cost is bounded by postings size, never the corpus."""
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        terms = sorted(set(self._terms(query_text)))
-        postings = []
-        for t in terms:
-            doc, tf = self.reader.postings(t)
-            if len(doc):
-                postings.append((t, doc, tf))
+        postings = self._live_postings(self._terms(query_text))
         if not postings or m > len(postings):
             return empty
-        concat = np.concatenate([d for _, d, _ in postings])
-        candidates, inverse = np.unique(concat, return_inverse=True)
-        counts = np.bincount(inverse, minlength=len(candidates))
+        candidates, positions = self._union([d for _, d, _ in postings])
+        counts = np.bincount(np.concatenate(positions), minlength=len(candidates))
         keep = counts >= m
         if not keep.any():
             return empty
         # scatter each term's contribution only where the msm filter survives
         sel = np.cumsum(keep, dtype=np.int64) - 1  # candidate -> kept slot
         acc = np.zeros(int(keep.sum()), dtype=np.float64)
-        lo = 0
-        for t, doc, tf in postings:  # ascending term order, like score_all
-            pos = inverse[lo : lo + len(doc)]
-            lo += len(doc)
+        for (t, doc, tf), pos in zip(postings, positions):  # ascending term order
             live = keep[pos]
-            idf = self.idf(t)
-            contrib = self._contrib(idf, tf[live], self.dl(doc[live]))
-            acc[sel[pos[live]]] += contrib
-        return self._rank_topk(candidates[keep], acc, k, rank_round)
+            acc[sel[pos[live]]] += bm25_contrib(
+                self.idf(t), tf[live], self.dl(doc[live]), self.avgdl
+            )
+        return rank_topk(candidates[keep], acc, k, rank_round)
 
     def topk_must_not(
         self,
@@ -1155,9 +1127,11 @@ class Bm25Index:
             sel = np.searchsorted(cand_k, docs)
             sel[sel == len(cand_k)] = 0
             hit = cand_k[sel] == docs
-            contrib = self._contrib(self.idf(t), tfs[hit], self.dl(docs[hit]))
-            acc[sel[hit]] += contrib  # docs distinct per term: no dup indices
-        return self._rank_topk(cand_k, acc, k, rank_round)
+            # docs distinct per term: no dup indices
+            acc[sel[hit]] += bm25_contrib(
+                self.idf(t), tfs[hit], self.dl(docs[hit]), self.avgdl
+            )
+        return rank_topk(cand_k, acc, k, rank_round)
 
     def prefix_terms(self, prefix: str, max_terms: int = 64) -> list[str]:
         """Vocabulary scan: all indexed terms starting with ``prefix``,
@@ -1413,28 +1387,18 @@ class Bm25Index:
         (sum of dl). Query terms are deduped + sorted; terms absent from the
         index are skipped (p(t|C)=0 has no finite log); all-absent -> no
         hits. Exhaustive over the candidate union, like the BM25 paths."""
-        ts = sorted(set(terms))
-        postings = []
-        for t in ts:
-            d, tf = self.reader.postings(t)
-            if len(d):
-                postings.append((t, d, tf))
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+        postings = self._live_postings(terms)
         if not postings:
-            return empty
-        c_total = self._dl_total
-        concat = np.concatenate([d for _, d, _ in postings])
-        candidates, inverse = np.unique(concat, return_inverse=True)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        candidates, positions = self._union([d for _, d, _ in postings])
         dl = self.dl(candidates)
         acc = np.zeros(len(candidates), dtype=np.float64)
-        lo = 0
-        for _, d, tf in postings:  # ascending term order
-            prior = mu * float(tf.sum()) / c_total
+        for (_, _, tf), pos in zip(postings, positions):  # ascending term order
+            prior = mu * float(tf.sum()) / self._dl_total
             tf_full = np.zeros(len(candidates), dtype=np.float64)
-            tf_full[inverse[lo : lo + len(d)]] = tf.astype(np.float64)
-            lo += len(d)
+            tf_full[pos] = tf.astype(np.float64)
             acc += np.log((tf_full + prior) / (dl + mu))
-        return self._rank_topk(candidates, acc, k, rank_round)
+        return rank_topk(candidates, acc, k, rank_round)
 
     def expanded_topk(
         self,
@@ -1462,10 +1426,7 @@ class Bm25Index:
         for slot in slots:  # slot order: deterministic accumulation
             acc += self._slot_contrib(slot, cand, dl)
         nz = acc > 0
-        cand, acc = cand[nz], acc[nz]
-        key = np.round(acc, rank_round) if rank_round is not None else acc
-        order = np.lexsort((cand, -key))[:k]
-        return cand[order], acc[order]
+        return rank_topk(cand[nz], acc[nz], k, rank_round)
 
     def _slot_contrib(
         self, slot: list[str], cand: np.ndarray, dl: np.ndarray
@@ -1479,7 +1440,9 @@ class Bm25Index:
             pos = np.minimum(np.searchsorted(doc, cand), len(doc) - 1)
             present = doc[pos] == cand
             if present.any():
-                contrib = self._contrib(self.idf(t), tf[pos[present]], dl[present])
+                contrib = bm25_contrib(
+                    self.idf(t), tf[pos[present]], dl[present], self.avgdl
+                )
                 np.maximum.at(acc, np.flatnonzero(present), contrib)
         return acc
 
@@ -1562,7 +1525,7 @@ class Bm25Index:
             ak, ad = float(after[0]), int(after[1])
             m = (key < ak) | ((key == ak) & (doc > ad))
             doc, score = doc[m], score[m]
-        return self._rank_topk(doc, score, k, rank_round)
+        return rank_topk(doc, score, k, rank_round)
 
     def _conv_starts(self) -> np.ndarray:
         """Sorted docIDs at which a NEW conversation begins — computed once
@@ -1786,7 +1749,7 @@ class Bm25Index:
         doc, score = self.score_all(query_text)
         if not len(doc):
             return empty
-        d, _ = self._rank_topk(doc, score, k_docs, rank_round)
+        d, _ = rank_topk(doc, score, k_docs, rank_round)
         n_fg = len(d)
         if getattr(self, "_docstore", None) is None:
             from .docstore import DocStore
@@ -1958,23 +1921,16 @@ class Bm25Index:
         contrib(t, d) over the postings union (the boosted-BooleanQuery
         scorer under RM3; same unique()-merge + ascending-term accumulation
         as score_all's general path)."""
-        postings = []
-        for t in sorted(weights):
-            doc, tf = self.reader.postings(t)
-            if len(doc):
-                postings.append((t, doc, tf))
+        postings = self._live_postings(weights)
         if not postings:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        concat = np.concatenate([d for _, d, _ in postings])
-        candidates, inverse = np.unique(concat, return_inverse=True)
+        candidates, positions = self._union([d for _, d, _ in postings])
         acc = np.zeros(len(candidates), dtype=np.float64)
-        lo = 0
-        for t, doc, tf in postings:  # ascending term order
-            pos = inverse[lo : lo + len(doc)]
-            lo += len(doc)
-            contrib = self._contrib(self.idf(t), tf.astype(np.float64), self.dl(doc))
-            acc[pos] += weights[t] * contrib
-        return self._rank_topk(candidates, acc, k, rank_round)
+        for (t, doc, tf), pos in zip(postings, positions):  # ascending term order
+            acc[pos] += weights[t] * bm25_contrib(
+                self.idf(t), tf, self.dl(doc), self.avgdl
+            )
+        return rank_topk(candidates, acc, k, rank_round)
 
     def boosted_topk(
         self,
@@ -2024,42 +1980,29 @@ class Bm25Index:
         member postings."""
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         gs = sorted({tuple(sorted(set(g))) for g in groups if g})
-        merged = []  # (members, doc_ids, summed_tf, blended_df)
+        merged = []  # (doc_ids, summed_tf, blended_df)
         for members in gs:
-            docs, tfs, dfs = [], [], []
-            for t in members:
-                doc, tf = self.reader.postings(t)
-                if len(doc):
-                    docs.append(doc)
-                    tfs.append(tf)
-                    dfs.append(len(doc))
-            if not docs:
+            live = self._live_postings(members)
+            if not live:
                 continue
-            if len(docs) == 1:
-                mdoc, mtf = docs[0], tfs[0].astype(np.float64)
-            else:
-                cat = np.concatenate(docs)
-                mdoc, inv = np.unique(cat, return_inverse=True)
-                # bincount-with-weights is an exact integer sum here: tfs are
-                # int32 counts, far inside float64's 2^53 exact range
-                mtf = np.bincount(
-                    inv,
-                    weights=np.concatenate(tfs).astype(np.float64),
-                    minlength=len(mdoc),
-                )
-            merged.append((members, mdoc, mtf, max(dfs)))
+            mdoc, pos = self._union([d for _, d, _ in live])
+            # bincount-with-weights is an exact integer sum here: tfs are
+            # int32 counts, far inside float64's 2^53 exact range
+            mtf = np.bincount(
+                np.concatenate(pos),
+                weights=np.concatenate([tf for _, _, tf in live]).astype(np.float64),
+                minlength=len(mdoc),
+            )
+            merged.append((mdoc, mtf, max(len(d) for _, d, _ in live)))
         if not merged:
             return empty
-        concat = np.concatenate([d for _, d, _, _ in merged])
-        candidates, inverse = np.unique(concat, return_inverse=True)
+        candidates, positions = self._union([d for d, _, _ in merged])
         acc = np.zeros(len(candidates), dtype=np.float64)
-        lo = 0
-        for _, doc, tf, df_blend in merged:  # ascending group order
-            pos = inverse[lo : lo + len(doc)]
-            lo += len(doc)
-            idf = math.log(1.0 + (self.n_docs - df_blend + 0.5) / (df_blend + 0.5))
-            acc[pos] += self._contrib(idf, tf, self.dl(doc))
-        return self._rank_topk(candidates, acc, k, rank_round)
+        for (doc, tf, df_blend), pos in zip(merged, positions):  # ascending group order
+            acc[pos] += bm25_contrib(
+                bm25_idf(df_blend, self.n_docs), tf, self.dl(doc), self.avgdl
+            )
+        return rank_topk(candidates, acc, k, rank_round)
 
     def category_docs(self, value) -> np.ndarray:
         """Sorted docIDs whose docmap ``category`` equals ``value`` (a string

@@ -147,7 +147,7 @@ class _ShardActor:
 
     def _shard_vocab(self) -> set[str]:
         """Terms present in this shard's parts — a metadata-only read (the
-        per-part term->rows maps), never payload blobs. The shard vocab
+        per-part term->code maps), never payload blobs. The shard vocab
         slices partition the whole vocab up to salted hot terms, which
         appear on every shard owning one of their salt parts (deduped by
         the coordinator's set union)."""
@@ -155,7 +155,7 @@ class _ShardActor:
             v: set[str] = set()
             for p in self.parts:
                 self.reader._load_meta(p)
-                v.update(self.reader._term_rows[p].keys())
+                v.update(self.reader._term_code[p].keys())
             self._vocab = v
         return self._vocab
 

@@ -555,7 +555,7 @@ def test_read_error_strategy_throw_and_quarantine(tiny_index, tmp_path, caplog):
     t1 = t2 = None
     for part in range(pristine.n_buckets * pristine.n_salts):
         pristine._load_meta(part)
-        cold = sorted(t for t in pristine._term_rows[part] if t not in hot)
+        cold = sorted(t for t in pristine._term_code[part] if t not in hot)
         if not cold:
             continue
         if t1 is None:

@@ -1,6 +1,11 @@
 """Randomized differential gate: ``Bm25Index.topk`` and ``expanded_topk``
 against the pure-Python oracle (``engine/oracle.py``), bit for bit — doc ids
-and float64 scores — on seeded corpora and query streams.
+and float64 scores — on seeded corpora and query streams. The other scoring
+surfaces are held to the same bits where their contract reduces to plain
+BM25: ``topk_msm`` with m=1, ``boosted_topk`` with unit boosts and
+``synonym_topk``/``expanded_topk`` with one-term groups each equal ``topk``,
+and ``conjunctive_topk`` equals the oracle's scores over the docs that hold
+every query term.
 
 Corpora are Zipf-shaped over a small vocabulary, with empty docs, very long
 docs and duplicated texts (exact score ties, broken by ascending doc id).
@@ -77,6 +82,23 @@ def _expanded_oracle(idx, slots, k):
     return ranked[:k]
 
 
+def _conjunctive_oracle(idx, text, k):
+    """Oracle BM25 restricted to docs holding every distinct query term."""
+    terms = set(tokenize_text(text))
+    ranked = sorted(
+        ((d, v) for d, v in oracle.bm25_scores(idx, text).items()
+         if all(d in idx.postings.get(t, {}) for t in terms)),
+        key=lambda it: (-it[1], it[0]),
+    )
+    return ranked[:k]
+
+
+def _same(got, want, label) -> None:
+    d, s = got
+    assert d.tolist() == [w[0] for w in want], label
+    assert s.tolist() == [w[1] for w in want], label
+
+
 def _table(docs: dict[int, str]) -> pa.Table:
     ids = sorted(docs)
     return pa.table({"doc_id": pa.array(ids, pa.int64()),
@@ -90,15 +112,19 @@ def _check(index_dir: str, docs: dict[int, str], rng, label: str) -> None:
     bm = Bm25Index(index_dir)
     assert bm.n_docs == len(docs), label
     for text, k in _queries(rng, len(docs)):
-        d, s = bm.topk(text, k)
         want = oracle.topk(idx, text, k)
-        assert d.tolist() == [w[0] for w in want], (label, text, k)
-        assert s.tolist() == [w[1] for w in want], (label, text, k)
+        _same(bm.topk(text, k), want, (label, text, k))
         slots = _slots(rng, text)
-        d, s = bm.expanded_topk(slots, k)
-        want = _expanded_oracle(idx, slots, k)
-        assert d.tolist() == [w[0] for w in want], (label, slots, k)
-        assert s.tolist() == [w[1] for w in want], (label, slots, k)
+        _same(bm.expanded_topk(slots, k), _expanded_oracle(idx, slots, k), (label, slots, k))
+        _same(bm.conjunctive_topk(text, k), _conjunctive_oracle(idx, text, k),
+              (label, "and", text, k))
+        _same(bm.topk_msm(text, 1, k), want, (label, "msm", text, k))
+        live = sorted({t for t in tokenize_text(text) if t in idx.postings})
+        if not live:
+            continue
+        _same(bm.boosted_topk({t: 1.0 for t in live}, k), want, (label, "boost", text, k))
+        _same(bm.synonym_topk([[t] for t in live], k), want, (label, "syn", text, k))
+        _same(bm.expanded_topk([[t] for t in live], k), want, (label, "slot", text, k))
 
 
 def _build(docs, index_dir, codec):

@@ -166,9 +166,11 @@ def test_compact_preserves_results(upd_index):
         np.testing.assert_allclose(s0, s1, rtol=1e-12)
 
 
-def test_percolate_matches_topk_scores(ray_session, tiny_index):
-    """A percolated (query, doc) score must equal the score topk assigns that
-    doc — the detect-motifs 'reuses path 3.2' contract."""
+def test_percolate_matches_topk_scores(ray_session, tiny_corpus, tiny_index):
+    """A percolated (query, doc) score must equal, bit for bit, the score
+    ``score_all`` assigns that doc — the detect-motifs 'reuses path 3.2'
+    contract — and a stored query hits a doc exactly when ``score_all``
+    scores it. Checked for every QUERY_SET query over every 7th corpus turn."""
     import os
 
     import pyarrow.parquet as pq
@@ -178,33 +180,26 @@ def test_percolate_matches_topk_scores(ray_session, tiny_index):
     from engine.queries import QUERY_SET
 
     bm = Bm25Index(tiny_index)
-    # reconstruct one doc's text from the corpus via docmap
-    dm = pq.read_table(os.path.join(tiny_index, "docmap"))
-    doc_ids, _ = bm.topk("zqmarker0", 1)
-    row = dm.filter(pa.compute.equal(dm["doc_id"], int(doc_ids[0])))
-    conv, turn = row["conv_id"][0].as_py(), row["turn_idx"][0].as_py()
-
-    # find the text in the tiny corpus
-    import glob
-
-    text = None
-    for f in glob.glob(os.path.join(os.path.dirname(tiny_index), "..", "**", "*.parquet"), recursive=True):
-        pass  # corpus path is carried by the fixture instead
-    from engine.synth import generate_transcripts
-
-    corpus_tbl = generate_transcripts(100, 42)
-    m = pa.compute.and_(
-        pa.compute.equal(corpus_tbl["conv_id"], conv),
-        pa.compute.equal(corpus_tbl["turn_idx"], turn),
-    )
-    text = corpus_tbl.filter(m)["text"][0].as_py()
+    dm = pq.read_table(os.path.join(tiny_index, "docmap"),
+                       columns=["conv_id", "turn_idx", "doc_id"]).to_pylist()
+    doc_of = {(r["conv_id"], r["turn_idx"]): r["doc_id"] for r in dm}
+    corpus = pq.read_table(tiny_corpus, columns=["conv_id", "turn_idx", "text"])
+    sample = corpus.take(np.arange(0, corpus.num_rows, 7)).to_pylist()
+    want = {}
+    for q in QUERY_SET:
+        d, s = bm.score_all(q["text"])
+        want[q["query_id"]] = dict(zip(d.tolist(), s.tolist()))
 
     perc = Percolator(tiny_index, QUERY_SET, mode="any")
-    hits = dict(perc.percolate(text))
-    assert "Q01_rare_marker" in hits
-    d, s = bm.topk("zqmarker0", 50)
-    expected = float(s[list(map(int, d)).index(int(doc_ids[0]))])
-    assert hits["Q01_rare_marker"] == pytest.approx(expected, rel=1e-12)
+    pairs = 0
+    for row in sample:
+        doc = doc_of[(row["conv_id"], row["turn_idx"])]
+        hits = dict(perc.percolate(row["text"]))
+        assert set(hits) == {qid for qid, sc in want.items() if doc in sc}, doc
+        for qid, score in hits.items():
+            assert score == want[qid][doc], (qid, doc)
+        pairs += len(hits)
+    assert pairs > 100
 
 
 def test_percolate_dataset_conjunctive(ray_session, tiny_index):
