@@ -7,11 +7,12 @@ files -> merge-commit per partition with atomic swap. Re-architected as:
     read_parquet (pruned columns)
       -> [transcripts] deterministic docID assignment  (engine.docids)
       -> docmap + global stats pass                    (N, avgdl)
-      -> map_batches(tokenize)  — stateless, zero-copy Arrow, partial tf agg
-      -> map_batches(route)     — term-hash bucket + head-term salting
-      -> two-stage object-store exchange (split num_returns=parts -> per-part
-         concat+encode tasks)   — THE shuffle; see the inline rationale
-      -> manifests + stats.json                        (engine.state)
+      -> map_batches(tokenize)  — stateless, zero-copy Arrow, partial tf agg,
+                                  term as a dictionary column
+      -> engine.exchange        — split by part (_Router: term-hash bucket +
+                                  head-term salting) -> per-part encode tasks
+      -> state.commit_segment   — one segment file + manifest per part
+      -> stats.json                                    (engine.state)
 
 Skew: Zipf head terms would make single ``groupby(term)`` groups hold a large
 fraction of all postings (the reference's "ribosome" problem, Partition.java:
@@ -22,8 +23,9 @@ Hot-term detection samples corpus-wide via a deterministic id-hash gate (not
 a prefix, which misses late-file hot terms); misdetection only affects
 partitioning balance, never correctness.
 
-Resume: parts with committed manifests are skipped (rows routed to them are
-filtered out before the shuffle); ``state.recover`` purges orphans first.
+Resume: parts with committed manifests are skipped (their rows still pass
+the exchange, but no encode task runs for them); ``state.recover`` purges
+orphans first.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import ray.data
 from . import state
 from .docids import add_doc_ids, build_conv_offset_index
 from .docmap import docmap_files, docmap_stats
+from .exchange import exchange
 from .schema import TRANSCRIPT_SCHEMA
 from .segments import encode_bucket, term_bucket_array
 from .tokenize import doc_length_batch, hash64_text, hash_scheme, tokenize_batch
@@ -140,102 +143,39 @@ def detect_hot_terms(
 
 
 class _Router:
-    """Adds the ``part`` routing column (+ ``salt`` when asked). Stateless,
-    broadcast hot set.
+    """The exchange key of the build and of ADD: a row's part is its term's
+    hash bucket, plus ``salt * n_buckets`` with ``salt = doc_id % n_salts``
+    for hot terms. A part's salt is therefore ``part // n_buckets``, so rows
+    carry no salt column and the encoder takes it as a constant. Runs in the
+    split task over the group's one unified term dictionary, so each distinct
+    term is hashed once per group."""
 
-    ``emit_salt=False`` (the build path): salt is fully determined by the part
-    (``salt == part // n_buckets``), so carrying it per row through the
-    exchange is 4 wasted bytes/posting/copy — the encoder reconstitutes it as
-    a constant. The update path keeps ``emit_salt=True`` because it offsets
-    run ids by generation before encoding."""
-
-    def __init__(self, hot_ref, n_buckets: int, n_salts: int, emit_salt: bool = True):
-        self.hot_ref = hot_ref
+    def __init__(self, hot_terms: list[str], n_buckets: int, n_salts: int):
+        self.hot_terms = pa.array(hot_terms, pa.string())
         self.n_buckets = n_buckets
         self.n_salts = n_salts
-        self.emit_salt = emit_salt
-        self._hot_arr = None
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self._hot_arr is None:
-            self._hot_arr = pa.array(ray.get(self.hot_ref), pa.string())
-        bucket = term_bucket_array(batch["term"], self.n_buckets)
-        if len(self._hot_arr) and self.n_salts > 1:
-            hot = pc.is_in(batch["term"], value_set=self._hot_arr).to_numpy(zero_copy_only=False)
-            doc = batch["doc_id"].to_numpy(zero_copy_only=False)
-            salt = np.where(hot, doc % self.n_salts, 0).astype(np.int32)
-        else:
-            salt = np.zeros(len(bucket), dtype=np.int32)
-        part = bucket + salt * self.n_buckets
-        if self.emit_salt:
-            batch = batch.append_column("salt", pa.array(salt, pa.int32()))
-        if not self.emit_salt:
-            # build path: ship term as a dictionary column — 4-byte codes per
-            # row + each block's vocab once, instead of ~10 bytes/occurrence
-            # of string+offset through every exchange copy (the term column
-            # is the widest thing in the shuffle). The split stage re-compacts
-            # dictionaries per part slice so no slice carries another part's
-            # vocab strings.
-            term_col = batch["term"]
-            if isinstance(term_col, pa.ChunkedArray):
-                term_col = term_col.combine_chunks()
-            if not pa.types.is_dictionary(term_col.type):
-                batch = batch.set_column(
-                    batch.schema.get_field_index("term"),
-                    "term",
-                    term_col.dictionary_encode(),
-                )
-        return batch.append_column("part", pa.array(part, pa.int32()))
+    def __call__(self, rows: pa.Table) -> np.ndarray:
+        terms = rows["term"].combine_chunks()
+        codes = terms.indices.to_numpy(zero_copy_only=False)
+        part = term_bucket_array(terms.dictionary, self.n_buckets)[codes]
+        if len(self.hot_terms) and self.n_salts > 1:
+            hot = pc.is_in(terms.dictionary, value_set=self.hot_terms)
+            hot = hot.to_numpy(zero_copy_only=False)[codes]
+            doc = rows["doc_id"].to_numpy(zero_copy_only=False)
+            part = part + np.where(hot, doc % self.n_salts, 0).astype(np.int32) * self.n_buckets
+        return part
 
 
-class _SegmentWriter:
-    """Callable: one part's rows -> encoded segment file + manifest.
-
-    ``n_buckets`` reconstitutes the per-part constant salt when rows carry
-    no ``salt`` column."""
-
-    def __init__(self, index_dir: str, n_buckets: int | None = None, codec: str = "varint"):
-        self.index_dir = index_dir
-        self.n_buckets = n_buckets
-        self.codec = codec
-
-    def __call__(self, group: pa.Table, part: int | None = None) -> pa.Table:
-        if part is None:
-            part = int(group["part"][0].as_py())
-        salt_const = part // self.n_buckets if self.n_buckets else None
-        t0 = time.perf_counter()
-        seg = encode_bucket(group, salt_const=salt_const, codec=self.codec)
-        encode_sec = time.perf_counter() - t0
-        path = state.segment_path(self.index_dir, part)
-        tmp = path + ".tmp"
-        pq.write_table(seg, tmp, row_group_size=16384)
-        os.replace(tmp, path)
-        state.write_part_manifest(
-            self.index_dir,
-            part,
-            {
-                "n_terms": seg.num_rows,
-                "n_postings": int(pc.sum(seg["df"]).as_py() or 0),
-                "n_tokens": int(pc.sum(seg["cf"]).as_py() or 0),
-                # per-partition metrics (lineage + cost accounting): rows in,
-                # bytes out, encode wall time on this worker
-                "rows_in": group.num_rows,
-                "payload_bytes": os.path.getsize(path),
-                "encode_sec": round(encode_sec, 4),
-                # executing node (provenance + multi-node placement evidence:
-                # on a >1-node cluster, distinct node_ids across manifests
-                # prove the encode stage spanned nodes — the sandbox has no
-                # dashboard/state API, so manifests ARE the task-level record)
-                "node_id": ray.get_runtime_context().get_node_id(),
-            },
-        )
-        return pa.table(
-            {
-                "part": pa.array([part], pa.int32()),
-                "n_terms": pa.array([seg.num_rows], pa.int64()),
-                "n_postings": pa.array([int(pc.sum(seg["df"]).as_py() or 0)], pa.int64()),
-            }
-        )
+def exchange_rows(rows: pa.Table) -> pa.Table:
+    """Tokenized rows as the exchange ships them: term as a dictionary
+    column, 4-byte codes per row plus each block's vocab once, instead of
+    ~10 bytes/occurrence of string+offset through every object-store copy
+    (the term column is the widest thing in the shuffle)."""
+    term_col = rows["term"].combine_chunks()
+    return rows.set_column(
+        rows.schema.get_field_index("term"), "term", term_col.dictionary_encode()
+    )
 
 
 def build_index(
@@ -463,190 +403,54 @@ def build_index(
         state.atomic_write_bytes(
             json.dumps({**caller_args, "hot_terms": hot_terms}).encode(), routing_path
         )
-    hot_ref = ray.put(hot_terms)
     t_hot = time.perf_counter()
 
-    # --- tokenize -> route -> exchange -> encode segments -------------------
-    # The exchange is a two-stage object-store shuffle built from raw Ray
-    # tasks: map tasks SPLIT their routed block into one sub-table per part
-    # (``num_returns=n_parts``), reduce tasks concat one part's sub-tables and
-    # encode the segment. This is the one place the Dataset API is genuinely
-    # the wrong tool: the key has only n_buckets*n_salts distinct values, so
-    # ``groupby(part)``'s sort-based exchange pays a sample+sort+range-merge
-    # with a ~25s floor that is CPU-count-INDEPENDENT (it killed scaling
-    # efficiency at every pair measured), a hash-shuffle strategy was 1.5x
-    # slower, and a hive-partitioned parquet spill was 3-4x slower (disk
-    # IOPS). The split/concat exchange is the in-memory form of the
-    # reference's per-thread spill files + per-prefix merge
-    # (UPD/Context.java:60-73, DefaultInvertedIndex.java:120-268).
-    # Partitioning assumption: one part's rows fit one worker's heap — the
-    # same assumption groupby().map_groups makes; n_buckets controls it.
+    # --- tokenize -> exchange (routed by _Router) -> encode segments -------
     done = set(state.committed_parts(index_dir)) if resume else set()
     n_parts_total = n_buckets * n_salts
-    # slim exchange rows: (term, doc_id, tf, part) only — the encoder needs
-    # no dl, and salt is constant per part. Tokenize and route are
-    # consecutive map_batches, fused into ONE task by Ray Data (one
-    # object-store write for the routed rows).
+    # slim exchange rows: (dictionary term, doc_id, tf) only — the encoder
+    # needs no dl, and salt is constant per part.
     # int32 docIDs in the exchange: guaranteed by the docmap's ACTUAL id
     # range (dense transcripts ids satisfy it whenever n_docs < 2^31; sparse
     # external id spaces only when their max fits)
     compact_ids = facts.ids_fit_int32
     tokenized = ds.map_batches(
-        lambda b: tokenize_batch(
+        lambda b: exchange_rows(tokenize_batch(
             b, id_col=id_col, text_col=text_col, positions=positions,
             with_dl=False, compact_ids=compact_ids, analyzer=analyzer,
             stopwords=stop_list,
-        ),
+        )),
         batch_format="pyarrow",
-    ).map_batches(
-        _Router(hot_ref, n_buckets, n_salts, emit_salt=False), batch_format="pyarrow"
     )
-    t_spill = time.perf_counter()
-
-    @ray.remote(num_returns=n_parts_total)
-    def split_blocks(*tbls):
-        # several upstream blocks -> one split task: bounds the number of
-        # (split output x part) objects without a repartition pass (which
-        # re-wrote every routed row through the object store once more)
-        live = [t for t in tbls if t.num_rows and "part" in t.column_names]
-        if not live:
-            # empty upstream blocks skip the map UDF and keep the input schema
-            return tuple(None for _ in range(n_parts_total))
-        tbl = live[0] if len(live) == 1 else pa.concat_tables(live)
-        part = tbl["part"].to_numpy(zero_copy_only=False)
-        order = np.argsort(part, kind="stable")
-        # the routing column has served its purpose once the rows are sliced
-        # by part — dropping it BEFORE the take saves 4 bytes/posting in the
-        # second object-store copy (every slice shipped to an encode task)
-        s = tbl.drop_columns(["part"]).take(pa.array(order))
-        bounds = np.searchsorted(part[order], np.arange(n_parts_total + 1))
-        term_idx = s.schema.get_field_index("term")
-        tcol = s["term"]
-        if isinstance(tcol, pa.ChunkedArray):
-            tcol = tcol.combine_chunks()
-        if not pa.types.is_dictionary(tcol.type):
-            return tuple(
-                s.slice(int(lo), int(hi - lo)) for lo, hi in zip(bounds[:-1], bounds[1:])
-            )
-        # dictionary terms: each slice must carry ONLY its own part's vocab —
-        # a plain slice would serialize the whole blocks' unified dictionary
-        # into every part object. Re-compact per slice with a boolean-LUT
-        # remap over the (small) block vocab — np.unique(return_inverse=True)
-        # sorts the slice and was measured ~100x slower on real slices.
-        codes_all = tcol.indices.to_numpy(zero_copy_only=False)
-        vocab_n = len(tcol.dictionary)
-        out = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            sl = s.slice(int(lo), int(hi - lo))
-            if sl.num_rows == 0:
-                out.append(sl)
-                continue
-            codes = codes_all[lo:hi]
-            seen = np.zeros(vocab_n, dtype=bool)
-            seen[codes] = True
-            uniq = np.flatnonzero(seen)
-            lut = np.zeros(vocab_n, dtype=np.int32)
-            lut[uniq] = np.arange(len(uniq), dtype=np.int32)
-            compacted = pa.DictionaryArray.from_arrays(
-                pa.array(lut[codes]), tcol.dictionary.take(pa.array(uniq))
-            )
-            out.append(sl.set_column(term_idx, "term", compacted))
-        return tuple(out)
-
-    writer = _SegmentWriter(index_dir, n_buckets=n_buckets, codec=postings_codec)
 
     @ray.remote
     def encode_part(part: int, *tables):
         live = [t for t in tables if t is not None and t.num_rows]
         if not live:
             return None
-        seg_row = writer(pa.concat_tables(live), part=part)
-        return {
-            "part": part,
-            "n_terms": int(seg_row["n_terms"][0].as_py()),
-            "n_postings": int(seg_row["n_postings"][0].as_py()),
-        }
+        rows = pa.concat_tables(live)
+        t_enc = time.perf_counter()
+        seg = encode_bucket(rows, salt_const=part // n_buckets, codec=postings_codec)
+        return state.commit_segment(
+            index_dir,
+            part,
+            seg,
+            # per-partition metrics (lineage + cost accounting): rows in,
+            # encode wall time on this worker, and the executing node
+            # (distinct node_ids across manifests show the encode stage
+            # spanned nodes — the manifests are the task-level record)
+            rows_in=rows.num_rows,
+            encode_sec=round(time.perf_counter() - t_enc, 4),
+            node_id=ray.get_runtime_context().get_node_id(),
+        )
 
-    # The split stage emits (split tasks x n_parts) objects and every encode
-    # task resolves one dependency per split task — thousands of tiny
-    # objects/deps cost more in store metadata + scheduler work than they buy
-    # in parallelism (measured 1.5-2x on the whole stage), so several routed
-    # blocks feed ONE split task. Split tasks launch AS blocks materialize
-    # (streaming ref-bundle iteration — split overlaps the tail of tokenize
-    # instead of waiting behind a full-materialize barrier).
-    split_refs: list = []
-    pending_refs: list = []
-    pending_bytes = 0
-    # group streamed blocks into ~even split tasks by bytes; the threshold
-    # bounds the task count near max_split_tasks for typical block sizes
-    # Each split task pays a fixed per-RETURN cost (plasma seal + metadata,
-    # ~1-3 ms under load) times n_parts_total, so total split overhead is
-    # n_split_tasks x n_parts. Groups therefore SCALE with the part count:
-    # bigger groups amortize the per-return cost exactly when parts multiply.
-    # Measured (6.6M turns, 348 parts, 32 CPUs, same window): 64 MB groups ->
-    # tokenize+split 90.5 s; 192 MB groups -> 21.1 s. Heap bound: a split
-    # task peaks at ~2.5x its group bytes (concat + sorted take), so the
-    # 256 MB cap keeps 32 concurrent splits ~20 GB — the same worker-heap
-    # class of assumption encode_part already makes.
-    auto_scale = min(4.0, max(1.0, n_parts_total / 96.0))
-    group_bytes = int((64 << 20) * auto_scale)
-    group_refs = int(
-        os.environ.get("GRAFT_SPLIT_GROUP_REFS", str(max(8, n_parts_total // 12)))
+    outputs, combine_rounds = exchange(
+        tokenized, n_parts_total, _Router(hot_terms, n_buckets, n_salts)
     )
-
-    def _flush():
-        nonlocal pending_refs, pending_bytes
-        if pending_refs:
-            split_refs.append(split_blocks.remote(*pending_refs))
-            pending_refs, pending_bytes = [], 0
-        _maybe_combine()
-
-    # VERDICT r3 #6: bound the DRIVER-side ref set. At 100 TB / 64 MB split
-    # groups the loop below would pin ~1.6M x n_parts ObjectRefs on the
-    # driver; instead, every GRAFT_COMBINE_SPLITS flushed split tasks a
-    # per-part combine task folds the window's outputs into ONE table per
-    # part — launched while later splits (and the tokenize tail) are still
-    # running, so the shuffle's concatenation overlaps the map side instead
-    # of serializing inside encode_part. Driver refs stay
-    # <= (window + 1) x n_parts. The window never fills at bench scale
-    # (sf0.1 produces ~30 split tasks), so the measured path pays no extra
-    # object-store copy; tests force it low to exercise the fold.
-    combine_window = int(os.environ.get("GRAFT_COMBINE_SPLITS", "256"))
-    combine_rounds = 0
-
-    @ray.remote
-    def combine_split_outputs(*tbls):
-        live = [t for t in tbls if t is not None and t.num_rows]
-        if not live:
-            return None
-        # chunks keep their own (per-slice compacted) dictionaries; the
-        # encoder unifies them once per part
-        return pa.concat_tables(live)
-
-    def _maybe_combine():
-        nonlocal split_refs, combine_rounds
-        if len(split_refs) > combine_window:
-            split_refs = [[
-                combine_split_outputs.remote(*[sr[p] for sr in split_refs])
-                for p in range(n_parts_total)
-            ]]
-            combine_rounds += 1
-
-    for bundle in tokenized.iter_internal_ref_bundles():
-        for block_ref, meta in bundle.blocks:
-            pending_refs.append(block_ref)
-            pending_bytes += int(meta.size_bytes or 0)
-            if pending_bytes >= group_bytes or len(pending_refs) >= group_refs:
-                _flush()
-    _flush()
     t_tok = time.perf_counter()
-    todo = [p for p in range(n_parts_total) if p not in done]
-    enc_refs = [
-        encode_part.remote(p, *[split_refs[i][p] for i in range(len(split_refs))])
-        for p in todo
-    ]
+    enc_refs = [encode_part.remote(p, *outputs[p]) for p in range(n_parts_total) if p not in done]
+    del outputs
     manifest_rows = [r for r in ray.get(enc_refs) if r is not None]
-    del split_refs
     t_segments = time.perf_counter()
 
     # --- finalize stats.json (manifest-last global commit) ------------------
@@ -672,7 +476,7 @@ def build_index(
         "stopwords": stop_list,
         "store_text": bool(store_text),
         # driver-ref-bounding folds that ran during the exchange (0 below
-        # GRAFT_COMBINE_SPLITS split tasks — the bench scale)
+        # exchange.COMBINE_SPLITS split tasks — the bench scale)
         "combine_rounds": combine_rounds,
         "timings_sec": {
             "docmap": round(t_docmap - t0, 3),

@@ -70,8 +70,9 @@ def encode_bucket(
     gathers strings only at group starts.
 
     Exchange-slim variant: when a part's run id is a constant (build:
-    salt == part // n_buckets), ``salt_const`` replaces the per-row ``salt``
-    column, cutting 4 bytes/posting/copy off the shuffle."""
+    ``part // n_buckets``; ADD adds its generation's run offset),
+    ``salt_const`` replaces the per-row ``salt`` column, cutting 4
+    bytes/posting/copy off the shuffle."""
     has_pos = "pos" in group.column_names
     if group.num_rows == 0:
         return (POSITIONAL_SEGMENT_SCHEMA if has_pos else SEGMENT_SCHEMA).empty_table()

@@ -20,6 +20,9 @@ import json
 import os
 import zlib
 
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
 
 def atomic_write_bytes(data: bytes, path: str) -> None:
     tmp = path + ".tmp"
@@ -44,6 +47,24 @@ def write_part_manifest(index_dir: str, part: int, info: dict) -> None:
         crc = zlib.crc32(f.read())
     info = dict(info, part=part, checksum=crc, status="committed")
     atomic_write_bytes(json.dumps(info, sort_keys=True).encode(), manifest_path(index_dir, part))
+
+
+def commit_segment(index_dir: str, part: int, seg, **extra) -> dict:
+    """Publish one encoded part: payload to ``.tmp``, rename, manifest last.
+    ``extra`` fields join the manifest. Returns the manifest info."""
+    path = segment_path(index_dir, part)
+    tmp = path + ".tmp"
+    pq.write_table(seg, tmp, row_group_size=16384)
+    os.replace(tmp, path)
+    info = {
+        "n_terms": seg.num_rows,
+        "n_postings": int(pc.sum(seg["df"]).as_py() or 0),
+        "n_tokens": int(pc.sum(seg["cf"]).as_py() or 0),
+        "payload_bytes": os.path.getsize(path),
+        **extra,
+    }
+    write_part_manifest(index_dir, part, info)
+    return info
 
 
 def committed_parts(index_dir: str, verify_checksum: bool = False) -> dict[int, dict]:

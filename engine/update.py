@@ -4,14 +4,17 @@ analog (UPD/StrucmotifUpdate.java:493-546) plus a compaction pass.
 Semantics mirror the reference's delta planning:
 
 - ADD: ``requested - known`` (anti-join vs the docmap, the known.list analog)
-  is tokenized and merged into the existing segments. New postings land as
+  is tokenized, routed through the build's exchange exactly as a build routes
+  it, and merged into the existing segments. New postings land as
   ADDITIONAL RUNS per term — run ids are offset by ``generation * n_salts`` so
   they never collide with base or earlier-delta runs; the segment reader
   already merges a term's runs by concat+argsort, so queries see deltas with
   no reader changes (the concat-onto-existing-bucket merge of
   DefaultInvertedIndex.java:197-231, without decoding the existing bucket).
-- REMOVE: affected doc_ids are masked out of every posting (decode -> filter
-  -> re-encode per part, parallel Ray tasks) and dropped from the docmap.
+- REMOVE: every part is decoded and filtered (parallel Ray tasks, one per
+  part); only the parts that held a removed doc are re-encoded and
+  rewritten, the others stay byte-for-byte as they were. The doc_ids are
+  dropped from the docmap.
 - COMPACT: decode + re-encode every part, collapsing delta runs back to
   canonical salt runs.
 
@@ -39,7 +42,7 @@ import ray
 import ray.data
 
 from . import state
-from .build import _Router
+from .build import _Router, exchange_rows
 from .docmap import (
     KeySnapshot,
     docmap_files,
@@ -48,8 +51,9 @@ from .docmap import (
     read_doc_lengths,
     read_known_keys,
 )
+from .exchange import exchange
 from .schema import POSITIONAL_SEGMENT_SCHEMA, SEGMENT_SCHEMA
-from .segments import decode_posting, encode_bucket
+from .segments import decode_position_run, decode_posting, encode_bucket
 from .tokenize import doc_length_batch, hash64_text, hash_scheme, tokenize_batch
 
 
@@ -106,35 +110,26 @@ def _read_segment(path: str) -> pa.Table:
         return pf.read(columns=(POSITIONAL_SEGMENT_SCHEMA if positional else SEGMENT_SCHEMA).names)
 
 
+def _append_runs(index_dir: str, part: int, runs: pa.Table) -> None:
+    """Append encoded runs to part ``part`` (created if absent) and commit it.
+    Existing runs are NOT decoded — the concat-onto-existing-bucket merge of
+    DefaultInvertedIndex.java:197-231; rows are re-sorted by (term, run)."""
+    path = state.segment_path(index_dir, part)
+    if os.path.exists(path):
+        runs = pa.concat_tables([_read_segment(path), runs]).sort_by(
+            [("term", "ascending"), ("run", "ascending")]
+        )
+    state.commit_segment(index_dir, part, runs)
+
+
 @ray.remote
-def _merge_part(index_dir: str, part: int, codec: str, *tables) -> int | None:
-    """One touched part: concat this part's delta sub-tables, encode the delta
-    rows as NEW RUNS, append to the existing segment (existing runs are NOT
-    decoded — the concat-onto-existing-bucket merge of
-    DefaultInvertedIndex.java:197-231), atomic rewrite + manifest."""
+def _merge_part(index_dir: str, part: int, run: int, codec: str, *tables) -> int | None:
+    """One touched part: encode this part's delta rows as NEW RUNS with run
+    id ``run`` and append them to the part."""
     live = [t for t in tables if t is not None and t.num_rows]
     if not live:
         return None
-    delta_seg = encode_bucket(pa.concat_tables(live), codec=codec)
-    path = state.segment_path(index_dir, part)
-    if os.path.exists(path):
-        merged = pa.concat_tables([_read_segment(path), delta_seg]).sort_by(
-            [("term", "ascending"), ("run", "ascending")]
-        )
-    else:
-        merged = delta_seg
-    tmp = path + ".tmp"
-    pq.write_table(merged, tmp, row_group_size=16384)
-    os.replace(tmp, path)
-    state.write_part_manifest(
-        index_dir,
-        part,
-        {
-            "n_terms": merged.num_rows,
-            "n_postings": int(pc.sum(merged["df"]).as_py() or 0),
-            "n_tokens": int(pc.sum(merged["cf"]).as_py() or 0),
-        },
-    )
+    _append_runs(index_dir, part, encode_bucket(pa.concat_tables(live), salt_const=run, codec=codec))
     return part
 
 
@@ -160,9 +155,10 @@ def add_documents(
     2. mint docIDs: key-sort the delta (Ray sort), per-block row counts ->
        driver prefix-sum over #blocks ints, per-block assign tasks.
     3. docmap delta: streaming write_parquet of (doc_id, key, dl, hash) rows.
-    4. postings: tokenize -> committed routing -> per-part split ->
-       ONE RAY TASK PER TOUCHED PART appends the delta as new runs
-       (run ids offset by ``generation * n_salts``; existing runs untouched).
+    4. postings: tokenize -> the build's exchange under the committed
+       routing -> ONE RAY TASK PER TOUCHED PART appends the delta as new
+       runs (part ``p``'s run id is ``p // n_buckets + generation *
+       n_salts``; existing runs untouched).
 
     The known-key snapshot (:class:`docmap.KeySnapshot`) is read from the
     docmap in this process, sorted once, and ``ray.put`` once; it holds one
@@ -298,49 +294,24 @@ def add_documents(
     delta_ds.map_batches(docmap_fn, batch_format="pyarrow").write_parquet(delta_dir)
 
     # --- stage 4: tokenize -> committed routing -> per-part merge tasks ---
-    hot_ref = ray.put(stats.get("hot_terms", []))
-    router = _Router(hot_ref, n_buckets, n_salts)
     run_offset = generation * n_salts
     positional = bool(stats.get("positional"))
     analyzer = str(stats.get("analyzer", "standard"))
     stop_list = stats.get("stopwords") or None
-
-    def route_offset(batch: pa.Table) -> pa.Table:
-        rows = router(
-            tokenize_batch(batch, id_col=id_col, text_col=text_col,
-                           positions=positional, with_dl=False,
-                           analyzer=analyzer, stopwords=stop_list)
-        )
-        return rows.set_column(
-            rows.schema.get_field_index("salt"),
-            "salt",
-            pc.add(rows["salt"], pa.scalar(run_offset, pa.int32())).cast(pa.int32()),
-        )
-
     n_parts_total = n_buckets * n_salts
-
-    @ray.remote(num_returns=n_parts_total)
-    def split_block(tbl: pa.Table):
-        if tbl.num_rows == 0 or "part" not in tbl.column_names:
-            # empty upstream blocks skip the map UDF and keep the input schema
-            return tuple(None for _ in range(n_parts_total))
-        part = tbl["part"].to_numpy(zero_copy_only=False)
-        o = np.argsort(part, kind="stable")
-        s = tbl.take(pa.array(o))
-        bounds = np.searchsorted(part[o], np.arange(n_parts_total + 1))
-        return tuple(
-            s.slice(int(lo), int(hi - lo)) for lo, hi in zip(bounds[:-1], bounds[1:])
-        )
-
-    routed_refs = delta_ds.map_batches(route_offset, batch_format="pyarrow").to_arrow_refs()
-    if len(routed_refs) == 0:
-        split_refs = []
-    else:
-        split_refs = [split_block.remote(r) for r in routed_refs]
+    outputs, _ = exchange(
+        delta_ds.map_batches(
+            lambda b: exchange_rows(tokenize_batch(
+                b, id_col=id_col, text_col=text_col, positions=positional,
+                with_dl=False, analyzer=analyzer, stopwords=stop_list,
+            )),
+            batch_format="pyarrow",
+        ),
+        n_parts_total,
+        _Router(stats.get("hot_terms", []), n_buckets, n_salts),
+    )
     merge_refs = [
-        _merge_part.remote(
-            index_dir, p, codec, *[split_refs[i][p] for i in range(len(split_refs))]
-        )
+        _merge_part.remote(index_dir, p, p // n_buckets + run_offset, codec, *outputs[p])
         for p in range(n_parts_total)
     ]
     parts_touched = sum(1 for r in ray.get(merge_refs) if r is not None)
@@ -367,86 +338,69 @@ def _reencode_part(
     collapse_runs: bool = False,
     n_salts: int = 1,
     codec: str = "varint",
-) -> dict | None:
+) -> bool:
     """Decode one part -> exploded rows -> (filter) -> encode -> rewrite.
-    Returns the new manifest info, or None if the part becomes empty."""
+    A removal that hits no doc of the part leaves it untouched; a part left
+    with no postings is deleted. Returns whether the part changed."""
     path = state.segment_path(index_dir, part)
     if not os.path.exists(path):
-        return None
+        return False
     tbl = pq.read_table(path)
     # bulk column conversion once (vs per-row .as_py() — ~3x on wide parts)
     docs_enc = tbl["doc_ids_enc"].to_pylist()
     tfs_enc = tbl["tfs_enc"].to_pylist()
-    runs_col = tbl["run"].to_numpy(zero_copy_only=False)
-    terms_col = tbl["term"].to_pylist()
     has_pos = "pos_enc" in tbl.column_names
     pos_enc_l = tbl["pos_enc"].to_pylist() if has_pos else None
-    from .codec import get_codec
-
-    cdc = get_codec(codec)
-    terms, salts, docs, tfs, pos_vals, pos_counts = [], [], [], [], [], []
+    changed = collapse_runs
+    rows, docs, tfs, pos_vals = [], [], [], []  # per run that keeps a posting
     for i in range(tbl.num_rows):
-        d, t = decode_posting(docs_enc[i], tfs_enc[i], codec=codec)
-        keep = None
+        if has_pos:
+            d, vb, abs_pos = decode_position_run(docs_enc[i], tfs_enc[i], pos_enc_l[i], codec=codec)
+            t = np.diff(vb)
+        else:
+            d, t = decode_posting(docs_enc[i], tfs_enc[i], codec=codec)
         if remove_ids is not None and len(d):
             keep = ~np.isin(d, remove_ids, assume_unique=True)
-        if has_pos and len(d):
-            # reconstruct absolute positions, then drop removed docs' spans
-            deltas = cdc.decode(pos_enc_l[i]).astype(np.int64)
-            vb = np.zeros(len(d) + 1, dtype=np.int64)
-            np.cumsum(t, out=vb[1:])
-            c = np.cumsum(deltas)
-            corr = np.zeros(len(d), dtype=np.int64)
-            corr[1:] = c[vb[1:-1] - 1]
-            abs_pos = c - np.repeat(corr, t)
-            if keep is not None:
-                abs_pos = abs_pos[np.repeat(keep, t)]
-        if keep is not None:
-            d, t = d[keep], t[keep]
+            if not keep.all():
+                changed = True
+                if has_pos:
+                    abs_pos = abs_pos[np.repeat(keep, t)]
+                d, t = d[keep], t[keep]
         if not len(d):
             continue
-        run = int(runs_col[i])
-        terms.append(np.full(len(d), terms_col[i], dtype=object))
-        salts.append(np.full(len(d), run % n_salts if collapse_runs else run, dtype=np.int32))
+        rows.append(i)
         docs.append(d)
         tfs.append(t)
         if has_pos:
             pos_vals.append(abs_pos)
-            pos_counts.append(t)
+    if not changed:
+        return False
     if not docs:
         os.remove(path)
         mp = state.manifest_path(index_dir, part)
         if os.path.exists(mp):
             os.remove(mp)
-        return None
+        return True
+    row_of = np.repeat(rows, [len(d) for d in docs])
+    run = tbl["run"].to_numpy(zero_copy_only=False)[row_of]
     cols = {
-        "term": pa.array(np.concatenate(terms), pa.string()),
-        "salt": pa.array(np.concatenate(salts), pa.int32()),
+        "term": tbl["term"].take(pa.array(row_of)),
+        "salt": pa.array(run % n_salts if collapse_runs else run, pa.int32()),
         "doc_id": pa.array(np.concatenate(docs), pa.int64()),
         "tf": pa.array(np.concatenate(tfs).astype(np.int32)),
     }
     if has_pos:
-        counts = np.concatenate(pos_counts)
+        counts = np.concatenate(tfs)
         offs = np.zeros(len(counts) + 1, dtype=np.int32)
         np.cumsum(counts, out=offs[1:])
         cols["pos"] = pa.ListArray.from_arrays(
             pa.array(offs), pa.array(np.concatenate(pos_vals).astype(np.int32), pa.int32())
         )
-    rows = pa.table(cols)
     # collapsed runs may merge docs of the same (term, salt): encode_bucket
     # requires strictly ascending docs per group, which holds because runs
     # are doc-disjoint and docs are unique per term
-    seg = encode_bucket(rows, codec=codec)
-    tmp = path + ".tmp"
-    pq.write_table(seg, tmp, row_group_size=16384)
-    os.replace(tmp, path)
-    info = {
-        "n_terms": seg.num_rows,
-        "n_postings": int(pc.sum(seg["df"]).as_py() or 0),
-        "n_tokens": int(pc.sum(seg["cf"]).as_py() or 0),
-    }
-    state.write_part_manifest(index_dir, part, info)
-    return info
+    state.commit_segment(index_dir, part, encode_bucket(pa.table(cols), codec=codec))
+    return True
 
 
 _reencode_part_remote = ray.remote(_reencode_part)
@@ -488,7 +442,8 @@ def _purge_doc_ids(index_dir: str, remove: np.ndarray, codec: str = "varint") ->
     """Mask the given doc_ids out of every posting (ONE RAY TASK PER PART —
     the decode->filter->re-encode work is embarrassingly parallel across
     bucket files) and drop them from the docmap (consolidated rewrite).
-    Returns the number of parts touched."""
+    Returns the number of parts that lost a posting (rewritten or deleted);
+    the other parts are left as they were."""
     ddir = _docmap_dir(index_dir)
     _recover_docmap_swap(ddir)
     remove = np.unique(np.asarray(remove, dtype=np.int64))
@@ -544,7 +499,7 @@ def _purge_doc_ids(index_dir: str, remove: np.ndarray, codec: str = "varint") ->
     os.rename(backup, doomed)
     shutil.rmtree(doomed)
     shutil.rmtree(tmp_dir, ignore_errors=True)
-    return sum(1 for r in results if r is not None)
+    return sum(results)
 
 
 def remove_documents(index_dir: str, *, conv_ids=None, doc_ids=None) -> dict:
@@ -703,34 +658,17 @@ def _graft_part(dst_dir: str, part: int, src_path: str, run_offset: int) -> int:
     a previous (crashed) attempt — the segment rewrite is atomic, so it is
     either fully grafted or untouched — and is skipped, which is what makes
     a crashed merge safely re-runnable."""
+    path = state.segment_path(dst_dir, part)
+    if os.path.exists(path):
+        prior_max = pc.max(pq.read_table(path, columns=["run"])["run"]).as_py()
+        if prior_max is not None and int(prior_max) >= run_offset:
+            return part  # this generation's runs are already in
     src = _read_segment(src_path)
     i = src.schema.get_field_index("run")
     src = src.set_column(
         i, "run", pc.add(src["run"], pa.scalar(run_offset, pa.int32())).cast(pa.int32())
     )
-    path = state.segment_path(dst_dir, part)
-    if os.path.exists(path):
-        dst_tbl = _read_segment(path)
-        prior_max = pc.max(dst_tbl["run"]).as_py()
-        if prior_max is not None and int(prior_max) >= run_offset:
-            return part  # this generation's runs are already in
-        merged = pa.concat_tables([dst_tbl, src]).sort_by(
-            [("term", "ascending"), ("run", "ascending")]
-        )
-    else:
-        merged = src
-    tmp = path + ".tmp"
-    pq.write_table(merged, tmp, row_group_size=16384)
-    os.replace(tmp, path)
-    state.write_part_manifest(
-        dst_dir,
-        part,
-        {
-            "n_terms": merged.num_rows,
-            "n_postings": int(pc.sum(merged["df"]).as_py() or 0),
-            "n_tokens": int(pc.sum(merged["cf"]).as_py() or 0),
-        },
-    )
+    _append_runs(dst_dir, part, src)
     return part
 
 

@@ -228,3 +228,36 @@ def test_writes_onto_parts_with_a_dropped_column(ray_session, tmp_path):
     merge_indexes(index_dir, src_dir)
     docs.update(other)
     _check(index_dir, docs, rng, "merge with old parts")
+
+
+@pytest.mark.parametrize("codec", ["varint", "pfor"])
+def test_conjunctive_block_probe_matches_oracle(ray_session, tmp_path, codec):
+    """``conjunctive_topk`` on fresh readers, where frequent terms span many
+    128-doc blocks and a rare term seeds the candidates: the block probe
+    decodes only some blocks of each frequent term, and the scores must
+    still equal the oracle's (idf from the true df, not from the partial
+    decode)."""
+    from engine.query import Bm25Index
+
+    rng = np.random.default_rng(31)
+    frequent = VOCAB[:6]
+    docs = {}
+    for i in range(1500):
+        words = [t for t in frequent if rng.random() < 0.6]
+        words += [VOCAB[int(j)] for j in rng.integers(6, len(VOCAB), int(rng.integers(1, 12)))]
+        docs[i] = " ".join(rng.permutation(words).tolist())
+    for i in (600, 603, 610, 641, 655):  # one id range: most blocks skipped
+        docs[i] += " zqrare " + " ".join(frequent[: 2 + i % 4])
+    index_dir = str(tmp_path / "idx")
+    _build(docs, index_dir, codec)
+    idx = oracle.build_oracle_index(list(docs), list(docs.values()))
+
+    bm = Bm25Index(index_dir)
+    _, partial = bm._conjunctive_candidates(["t000", "zqrare"])
+    assert len(partial["t000"][0]) < bm.reader.df("t000"), "probe skipped no block"
+
+    queries = [f"zqrare {t}" for t in frequent] + ["zqrare t000 t001 t002", "t003 t004 zqrare t005"]
+    for text in queries:
+        for k in (1, 3, 10):
+            got = Bm25Index(index_dir).conjunctive_topk(text, k)  # cold cache
+            _same(got, _conjunctive_oracle(idx, text, k), (codec, text, k))

@@ -142,6 +142,41 @@ def test_remove_then_query(upd_index):
     assert bm1.n_docs == bm0.n_docs - rep["removed"]
 
 
+def test_remove_rewrites_only_parts_that_lost_a_posting(upd_index):
+    """REMOVE of one conversation rewrites only the parts that held one of
+    its postings; ``parts_touched`` counts exactly those, and every other
+    part's segment file and manifest keep their bytes."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from engine.update import remove_documents
+
+    def files():
+        out = {}
+        for p in state.committed_parts(upd_index):
+            for path in (state.segment_path(upd_index, p), state.manifest_path(upd_index, p)):
+                with open(path, "rb") as f:
+                    out[path] = f.read()
+        return out
+
+    before = files()
+    # the conversation with the fewest postings, so some parts hold none
+    dm = pq.read_table(os.path.join(upd_index, "docmap"), columns=["conv_id", "dl"])
+    per_conv = dm.group_by("conv_id").aggregate([("dl", "sum")]).sort_by("dl_sum")
+    victim = per_conv["conv_id"][0].as_py()
+    rep = remove_documents(upd_index, conv_ids=[victim])
+    after = files()
+    segs = [p for p in before if p.endswith(".parquet")]
+    changed = [p for p in segs if after.get(p) != before[p]]
+    assert rep["removed"] >= 1
+    assert 0 < rep["parts_touched"] == len(changed) < len(segs)
+    for p in segs:
+        if p not in changed:
+            m = p.replace(".parquet", ".manifest.json")
+            assert after[m] == before[m], m
+
+
 def test_compact_preserves_results(upd_index):
     import ray.data
 

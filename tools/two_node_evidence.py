@@ -11,7 +11,7 @@ another host):
 It (1) asserts the cluster has >= 2 alive nodes, (2) runs the standard
 `engine.build.build_index` job through the same code path
 `jobs/submit_build.py` uses, (3) reads back every committed part manifest
-and counts encode tasks per EXECUTING NODE (each `_SegmentWriter` task
+and counts encode tasks per EXECUTING NODE (each build `encode_part` task
 stamps `ray.get_runtime_context().get_node_id()` into its manifest — the
 sandbox has no dashboard/state API, so the manifests are the task-level
 placement record), and (4) prints one JSON evidence line. Evidence holds
