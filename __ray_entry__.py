@@ -13,7 +13,6 @@ calls ``ray.init()`` / ``ray.shutdown()``.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from collections.abc import Callable
@@ -274,22 +273,56 @@ def _cache(sf_dir: str, name: str) -> str:
     return path
 
 
+def _cached_index(
+    sf_dir: str, name: str, build: Callable[[str], Any], done: str = "stats.json"
+) -> str:
+    """The index cached as ``name`` for ``sf_dir``, made by ``build(path)``
+    unless the file ``done`` is already there. A plain build resumes in place
+    (build_index commits stats.json last); a multi-step lifecycle (merge,
+    remove, add) clears the directory first and writes its own ``done``
+    marker as its last step, so a run killed half way is redone, not
+    served."""
+    idx = _cache(sf_dir, name)
+    if not os.path.exists(os.path.join(idx, done)):
+        build(idx)
+    return idx
+
+
+def _mark_done(idx: str, marker: str) -> None:
+    with open(os.path.join(idx, marker), "w") as f:
+        f.write("ok")
+
+
+def _docs(sf_dir, columns=None):
+    import ray.data
+
+    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+
+
+def _parity_half(ds, p: int):
+    """Rows of ``ds`` whose doc_id has parity ``p``. Ray's
+    ``filter(expr=...)`` can't parse ``%``, so an Arrow kernel."""
+    return ds.map_batches(
+        lambda b: b.filter(pc.equal(pc.bit_wise_and(b["doc_id"], 1), p)),
+        batch_format="pyarrow",
+    )
+
+
+#: build settings shared by every documents-table index
+_DOC_KW = dict(id_col="doc_id", n_buckets=8, n_salts=4, hot_fraction=0.05)
+
+
 def _documents_index(sf_dir: str) -> str:
     """Build (once, resumably) the inverted index over the documents table."""
     from engine.build import build_index
 
-    idx = _cache(sf_dir, "documents_index")
-    if not os.path.exists(os.path.join(idx, "stats.json")):
-        import ray.data
-
-        ds = ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
-        )
-        build_index(
-            ds, idx, id_col="doc_id", n_buckets=8, n_salts=4, hot_fraction=0.05,
+    return _cached_index(
+        sf_dir, "documents_index",
+        lambda idx: build_index(
+            _docs(sf_dir, ["doc_id", "text", "source"]), idx, **_DOC_KW,
             category_col="source",
-        )
-    return idx
+        ),
+    )
 
 
 def _documents_index_merged(sf_dir: str) -> str:
@@ -297,35 +330,22 @@ def _documents_index_merged(sf_dir: str) -> str:
     ``engine.update.merge_indexes`` — the two-bundle concat-onto-existing
     merge (DefaultInvertedIndex.java:197-231). Merged stats/df equal the
     full build's, so plain full-corpus BM25 oracles it exactly."""
+    import shutil
+
     from engine.build import build_index
     from engine.update import merge_indexes
 
-    idx = _cache(sf_dir, "documents_index_half0")
-    marker = os.path.join(idx, "MERGED_OK")
-    if os.path.exists(marker):
-        return idx
-    import shutil
+    def build(idx):
+        odd = _cache(sf_dir, "documents_index_half1")
+        shutil.rmtree(idx, ignore_errors=True)
+        shutil.rmtree(odd, ignore_errors=True)
+        ds = _docs(sf_dir, ["doc_id", "text"])
+        build_index(_parity_half(ds, 0), idx, **_DOC_KW)
+        build_index(_parity_half(ds, 1), odd, **_DOC_KW)
+        merge_indexes(idx, odd)
+        _mark_done(idx, "MERGED_OK")
 
-    import ray.data
-
-    odd = _cache(sf_dir, "documents_index_half1")
-    shutil.rmtree(idx, ignore_errors=True)
-    shutil.rmtree(odd, ignore_errors=True)
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    import pyarrow.compute as pc
-
-    def _parity(p):  # Ray filter(expr=...) can't parse %, so an Arrow kernel
-        return lambda b: b.filter(pc.equal(pc.bit_wise_and(b["doc_id"], 1), p))
-
-    kw = dict(id_col="doc_id", n_buckets=8, n_salts=4, hot_fraction=0.05)
-    build_index(ds.map_batches(_parity(0), batch_format="pyarrow"), idx, **kw)
-    build_index(ds.map_batches(_parity(1), batch_format="pyarrow"), odd, **kw)
-    merge_indexes(idx, odd)
-    with open(marker, "w") as f:
-        f.write("ok")
-    return idx
+    return _cached_index(sf_dir, "documents_index_half0", build, done="MERGED_OK")
 
 
 def _documents_index_fed(sf_dir: str) -> tuple[str, str]:
@@ -334,28 +354,15 @@ def _documents_index_fed(sf_dir: str) -> tuple[str, str]:
     federation queries the independent builds as-is."""
     from engine.build import build_index
 
-    a = _cache(sf_dir, "documents_index_feda")
-    b = _cache(sf_dir, "documents_index_fedb")
-    if not (
-        os.path.exists(os.path.join(a, "stats.json"))
-        and os.path.exists(os.path.join(b, "stats.json"))
-    ):
-        import pyarrow.compute as pc
-        import ray.data
-
-        ds = ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    def half(p):
+        return lambda idx: build_index(
+            _parity_half(_docs(sf_dir, ["doc_id", "text"]), p), idx, **_DOC_KW
         )
 
-        def _parity(p):  # Ray filter(expr=...) can't parse %, Arrow kernel
-            return lambda bt: bt.filter(
-                pc.equal(pc.bit_wise_and(bt["doc_id"], 1), p)
-            )
-
-        kw = dict(id_col="doc_id", n_buckets=8, n_salts=4, hot_fraction=0.05)
-        build_index(ds.map_batches(_parity(0), batch_format="pyarrow"), a, **kw)
-        build_index(ds.map_batches(_parity(1), batch_format="pyarrow"), b, **kw)
-    return a, b
+    return (
+        _cached_index(sf_dir, "documents_index_feda", half(0)),
+        _cached_index(sf_dir, "documents_index_fedb", half(1)),
+    )
 
 
 def _documents_index_pfor(sf_dir: str) -> str:
@@ -363,18 +370,24 @@ def _documents_index_pfor(sf_dir: str) -> str:
     codec — the second production backend behind the codec seam."""
     from engine.build import build_index
 
-    idx = _cache(sf_dir, "documents_index_pfor")
-    if not os.path.exists(os.path.join(idx, "stats.json")):
-        import ray.data
-
-        ds = ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
-        )
-        build_index(
-            ds, idx, id_col="doc_id", n_buckets=8, n_salts=4, hot_fraction=0.05,
+    return _cached_index(
+        sf_dir, "documents_index_pfor",
+        lambda idx: build_index(
+            _docs(sf_dir, ["doc_id", "text", "source"]), idx, **_DOC_KW,
             category_col="source", postings_codec="pfor",
-        )
-    return idx
+        ),
+    )
+
+
+def _documents_posindex(sf_dir: str) -> str:
+    from engine.build import build_index
+
+    return _cached_index(
+        sf_dir, "documents_posindex",
+        lambda idx: build_index(
+            _docs(sf_dir, ["doc_id", "text"]), idx, **_DOC_KW, positions=True
+        ),
+    )
 
 
 #: queries for the S-stem analyzer entry: plural surface forms that ONLY
@@ -394,11 +407,6 @@ def _stem_documents_ds(sf_dir: str):
     reproduced in SQL by the same nested replace()). Gives the S-stem entry
     a corpus where stemming actually merges surface forms — the synthetic
     vocab is otherwise plural-free."""
-    import ray.data
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
 
     def pluralize(b: pa.Table) -> pa.Table:
         text = b["text"]
@@ -410,7 +418,9 @@ def _stem_documents_ds(sf_dir: str):
         odd = pc.equal(pc.bit_wise_and(b["doc_id"], 1), 1)
         return pa.table({"doc_id": b["doc_id"], "text": pc.if_else(odd, pl, text)})
 
-    return ds.map_batches(pluralize, batch_format="pyarrow")
+    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        pluralize, batch_format="pyarrow"
+    )
 
 
 def _documents_index_stem(sf_dir: str) -> str:
@@ -419,13 +429,12 @@ def _documents_index_stem(sf_dir: str) -> str:
     time, persisted in stats.json — engine/tokenize.py:s_stem_array)."""
     from engine.build import build_index
 
-    idx = _cache(sf_dir, "documents_index_stem")
-    if not os.path.exists(os.path.join(idx, "stats.json")):
-        build_index(
-            _stem_documents_ds(sf_dir), idx, id_col="doc_id", n_buckets=8,
-            n_salts=4, hot_fraction=0.05, analyzer="s_stem",
-        )
-    return idx
+    return _cached_index(
+        sf_dir, "documents_index_stem",
+        lambda idx: build_index(
+            _stem_documents_ds(sf_dir), idx, **_DOC_KW, analyzer="s_stem",
+        ),
+    )
 
 
 def _documents_index_destem(sf_dir: str) -> str:
@@ -436,10 +445,10 @@ def _documents_index_destem(sf_dir: str) -> str:
     derived table; the oracle restates exactly that."""
     from engine.update import reindex
 
-    idx = _cache(sf_dir, "documents_index_destem")
-    if not os.path.exists(os.path.join(idx, "stats.json")):
-        reindex(_documents_index_stem(sf_dir), idx, analyzer="standard")
-    return idx
+    return _cached_index(
+        sf_dir, "documents_index_destem",
+        lambda idx: reindex(_documents_index_stem(sf_dir), idx, analyzer="standard"),
+    )
 
 
 #: stop set for the stop-filter entry — the corpus's two head terms, so the
@@ -455,18 +464,13 @@ def _documents_index_stopped(sf_dir: str) -> str:
     not just the vocab."""
     from engine.build import build_index
 
-    idx = _cache(sf_dir, "documents_index_stopped")
-    if not os.path.exists(os.path.join(idx, "stats.json")):
-        import ray.data
-
-        ds = ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-        )
-        build_index(
-            ds, idx, id_col="doc_id", n_buckets=8, n_salts=4,
-            hot_fraction=0.05, stopwords=list(STOP_SET),
-        )
-    return idx
+    return _cached_index(
+        sf_dir, "documents_index_stopped",
+        lambda idx: build_index(
+            _docs(sf_dir, ["doc_id", "text"]), idx, **_DOC_KW,
+            stopwords=list(STOP_SET),
+        ),
+    )
 
 
 def _documents_index_removed(sf_dir: str) -> str:
@@ -475,33 +479,58 @@ def _documents_index_removed(sf_dir: str) -> str:
     lifecycle (reference: StrucmotifUpdate REMOVE operation) placed under the
     driver's value-hash gate. Stats (N, avgdl, df) are recomputed from the
     surviving corpus, so the oracle is plain BM25 over the filtered table."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
     from engine.build import build_index
     from engine.update import compact_index, remove_documents
 
-    idx = _cache(sf_dir, "documents_index_rm")
-    marker = os.path.join(idx, "REMOVED_OK")
-    if os.path.exists(marker):
-        return idx
+    def build(idx):
+        shutil.rmtree(idx, ignore_errors=True)
+        build_index(_docs(sf_dir, ["doc_id", "text"]), idx, **_DOC_KW)
+        # victim list: bounded driver input by construction (a deletion request)
+        ids = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])[
+            "doc_id"
+        ].to_numpy(zero_copy_only=False)
+        remove_documents(idx, doc_ids=ids[ids % 7 == 3].tolist())
+        compact_index(idx)
+        _mark_done(idx, "REMOVED_OK")
+
+    return _cached_index(sf_dir, "documents_index_rm", build, done="REMOVED_OK")
+
+
+def _documents_index_incremental(sf_dir: str) -> str:
+    """Half-build, then an incremental ADD of the other half."""
     import shutil
 
-    import pyarrow.parquet as _pq
-    import ray.data
+    import pyarrow.parquet as pq
 
-    shutil.rmtree(idx, ignore_errors=True)
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    build_index(ds, idx, id_col="doc_id", n_buckets=8, n_salts=4, hot_fraction=0.05)
-    # victim list: bounded driver input by construction (a deletion request)
-    ids = _pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])[
-        "doc_id"
-    ].to_numpy(zero_copy_only=False)
-    victims = ids[ids % 7 == 3]
-    remove_documents(idx, doc_ids=victims.tolist())
-    compact_index(idx)
-    with open(marker, "w") as f:
-        f.write("ok")
-    return idx
+    from engine.build import build_index
+    from engine.update import add_documents
+
+    def build(idx):
+        shutil.rmtree(idx, ignore_errors=True)
+        docs = _docs(sf_dir, ["doc_id", "text"])
+        # split point WITHOUT pulling the id column to the driver: the
+        # parquet footer's per-file row counts + min/max id stats give an
+        # O(#files) approximate median (exactness is irrelevant — the
+        # split only decides which half arrives via incremental ADD)
+        pf = pq.ParquetFile(f"{sf_dir}/documents.parquet")
+        ci = pf.schema_arrow.names.index("doc_id")
+        md = pf.metadata
+        lo = min(
+            md.row_group(i).column(ci).statistics.min for i in range(md.num_row_groups)
+        )
+        hi = max(
+            md.row_group(i).column(ci).statistics.max for i in range(md.num_row_groups)
+        )
+        median = int((lo + hi) // 2)
+        build_index(docs.filter(expr=f"doc_id <= {median}"), idx, **_DOC_KW)
+        add_documents(idx, docs.filter(expr=f"doc_id > {median}"), id_col="doc_id")
+        _mark_done(idx, "ADDED_OK")
+
+    return _cached_index(sf_dir, "documents_index_incr", build, done="ADDED_OK")
 
 
 def _transcripts_corpus(sf_dir: str) -> str:
@@ -517,22 +546,34 @@ def _transcripts_corpus(sf_dir: str) -> str:
 def _transcripts_index(sf_dir: str) -> str:
     from engine.build import build_index
 
-    corpus = _transcripts_corpus(sf_dir)
-    idx = _cache(sf_dir, "transcripts_index")
-    stats_path = os.path.join(idx, "stats.json")
-    if os.path.exists(stats_path):
-        with open(stats_path) as f:
-            st = json.load(f)
-        if st.get("category_col") == "role" and "ts" in st.get("docvalues", []):
-            return idx
-        # stale cache from a pre-category/pre-docvalues build: rebuild
-        import shutil
-
-        shutil.rmtree(idx)
-    build_index(
-        corpus, idx, n_buckets=16, n_salts=4, category_col="role", docvalues=["ts"]
+    return _cached_index(
+        sf_dir, "transcripts_index",
+        lambda idx: build_index(
+            _transcripts_corpus(sf_dir), idx, n_buckets=16, n_salts=4,
+            category_col="role", docvalues=["ts"],
+        ),
     )
-    return idx
+
+
+def _ts_midpoint(docmap_dir: str) -> pa.Scalar:
+    """Midpoint of the docmap's ts range, from parquet row-group statistics
+    alone (no data read)."""
+    import pyarrow.parquet as pq
+
+    from engine.docmap import docmap_files
+
+    mn = mx = None
+    for p in docmap_files(docmap_dir):
+        md = pq.ParquetFile(p).metadata
+        names = [md.schema.column(i).name for i in range(md.num_columns)]
+        ci = names.index("ts")
+        for g in range(md.num_row_groups):
+            st = md.row_group(g).column(ci).statistics
+            lo = int(np.datetime64(st.min.replace(tzinfo=None), "us").astype(np.int64))
+            hi = int(np.datetime64(st.max.replace(tzinfo=None), "us").astype(np.int64))
+            mn = lo if mn is None else min(mn, lo)
+            mx = hi if mx is None else max(mx, hi)
+    return pa.scalar((mn + mx) // 2, pa.timestamp("us"))
 
 
 def _transcripts_rollover(sf_dir: str) -> tuple[str, str]:
@@ -542,52 +583,29 @@ def _transcripts_rollover(sf_dir: str) -> tuple[str, str]:
     doc-values column — is cut at its ts midpoint and each half is built as
     an independent index with globally-unique docIDs, so federation scores
     are bit-identical to the single full-corpus build."""
-    import glob as _glob
+    import ray.data
 
     from engine.build import build_index
 
-    base = _transcripts_index(sf_dir)
-    a = _cache(sf_dir, "transcripts_roll_a")
-    b = _cache(sf_dir, "transcripts_roll_b")
-    if not (
-        os.path.exists(os.path.join(a, "stats.json"))
-        and os.path.exists(os.path.join(b, "stats.json"))
-    ):
-        import pyarrow.compute as pc
-        import pyarrow.parquet as pqt
-        import ray.data
+    docmap = os.path.join(_transcripts_index(sf_dir), "docmap")
 
-        mn = mx = None  # ts bounds from parquet row-group stats (no data read)
-        for p in sorted(
-            _glob.glob(os.path.join(base, "docmap", "**", "*.parquet"), recursive=True)
-        ):
-            md = pqt.ParquetFile(p).metadata
-            names = [md.schema.column(i).name for i in range(md.num_columns)]
-            ci = names.index("ts")
-            for g in range(md.num_row_groups):
-                st = md.row_group(g).column(ci).statistics
-                lo = int(np.datetime64(st.min.replace(tzinfo=None), "us").astype(np.int64))
-                hi = int(np.datetime64(st.max.replace(tzinfo=None), "us").astype(np.int64))
-                mn = lo if mn is None else min(mn, lo)
-                mx = hi if mx is None else max(mx, hi)
-        boundary = pa.scalar((mn + mx) // 2, pa.timestamp("us"))
-        ds = ray.data.read_parquet(
-            os.path.join(base, "docmap"), columns=["doc_id", "text", "ts"]
-        )
+    def half(keep):  # keep(ts, boundary) -> row mask
+        def build(idx):
+            boundary = _ts_midpoint(docmap)
+            ds = ray.data.read_parquet(docmap, columns=["doc_id", "text", "ts"])
+            build_index(
+                ds.map_batches(
+                    lambda bt: bt.filter(keep(bt["ts"], boundary)), batch_format="pyarrow"
+                ),
+                idx, id_col="doc_id", n_buckets=8, n_salts=4, docvalues=["ts"],
+            )
 
-        def _cut(keep_lo):
-            def f(bt):
-                m = pc.less(bt["ts"], boundary) if keep_lo else pc.greater_equal(
-                    bt["ts"], boundary
-                )
-                return bt.filter(m)
+        return build
 
-            return f
-
-        kw = dict(id_col="doc_id", n_buckets=8, n_salts=4, docvalues=["ts"])
-        build_index(ds.map_batches(_cut(True), batch_format="pyarrow"), a, **kw)
-        build_index(ds.map_batches(_cut(False), batch_format="pyarrow"), b, **kw)
-    return a, b
+    return (
+        _cached_index(sf_dir, "transcripts_roll_a", half(pc.less)),
+        _cached_index(sf_dir, "transcripts_roll_b", half(pc.greater_equal)),
+    )
 
 
 CHUNK_W, CHUNK_S, CHUNK_ID_BASE = 64, 48, 4096
@@ -602,49 +620,46 @@ def _chunks_index(sf_dir: str) -> str:
     from engine.build import build_index
     from engine.ops.textstats import chunk_documents
 
-    idx = _cache(sf_dir, "chunks_index")
-    if not os.path.exists(os.path.join(idx, "stats.json")):
-        import pyarrow.compute as pc
-        import ray.data
-
-        ds = ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    def mk(b: pa.Table) -> pa.Table:
+        ci = b["chunk_idx"]
+        if b.num_rows and pc.max(ci).as_py() >= CHUNK_ID_BASE:
+            raise ValueError("chunk_idx overflows the packed chunk-id base")
+        return pa.table(
+            {
+                "doc_id": pc.add(pc.multiply(b["doc_id"], CHUNK_ID_BASE), ci).cast(pa.int64()),
+                "text": b["chunk_text"],
+            }
         )
-        ch = chunk_documents(ds, window=CHUNK_W, stride=CHUNK_S)
 
-        def mk(b: pa.Table) -> pa.Table:
-            ci = b["chunk_idx"]
-            if b.num_rows and pc.max(ci).as_py() >= CHUNK_ID_BASE:
-                raise ValueError("chunk_idx overflows the packed chunk-id base")
-            return pa.table(
-                {
-                    "doc_id": pc.add(
-                        pc.multiply(b["doc_id"], CHUNK_ID_BASE), ci
-                    ).cast(pa.int64()),
-                    "text": b["chunk_text"],
-                }
-            )
+    def build(idx):
+        ch = chunk_documents(_docs(sf_dir, ["doc_id", "text"]), window=CHUNK_W, stride=CHUNK_S)
+        build_index(ch.map_batches(mk, batch_format="pyarrow"), idx, **_DOC_KW)
 
-        build_index(
-            ch.map_batches(mk, batch_format="pyarrow"), idx,
-            id_col="doc_id", n_buckets=8, n_salts=4, hot_fraction=0.05,
-        )
-    return idx
+    return _cached_index(sf_dir, "chunks_index", build)
 
 
 def _transcripts_posindex(sf_dir: str) -> str:
     """Positional transcripts index (J4 on the flagship surface)."""
     from engine.build import build_index
 
-    corpus = _transcripts_corpus(sf_dir)
-    idx = _cache(sf_dir, "transcripts_posindex")
-    if not os.path.exists(os.path.join(idx, "stats.json")):
-        build_index(corpus, idx, n_buckets=16, n_salts=4, positions=True)
-    return idx
+    return _cached_index(
+        sf_dir, "transcripts_posindex",
+        lambda idx: build_index(
+            _transcripts_corpus(sf_dir), idx, n_buckets=16, n_salts=4, positions=True
+        ),
+    )
 
 
-def _doc_query_items(conjunctive: bool = False) -> list[dict]:
-    return [{"query_id": q, "text": t, "k": k} for q, t, k in DOC_QUERIES]
+def _items(rows: list[tuple[str, str, int]]) -> list[dict]:
+    """(query_id, text, k) rows as batch_topk query dicts."""
+    return [{"query_id": q, "text": t, "k": k} for q, t, k in rows]
+
+
+def _query_set() -> list[tuple[str, str, int]]:
+    """The transcripts QUERY_SET as (query_id, text, k) rows."""
+    from engine.queries import QUERY_SET
+
+    return [(q["query_id"], q["text"], q["k"]) for q in QUERY_SET]
 
 
 def _collect(ds) -> pa.Table:
@@ -677,6 +692,58 @@ def _i64(tbl: pa.Table, cols: list[str]) -> pa.Table:
     return tbl
 
 
+def _batch_hits(idx: str, items: list[dict], conjunctive: bool = False) -> pa.Table:
+    """The actor-pool batch top-k of ``items`` over ``idx``: columns
+    (query_id, rank, doc_id, score_r), rank int64."""
+    from engine.query import batch_topk
+
+    res = batch_topk(
+        items, idx, concurrency=2, rank_round=RANK_ROUND, conjunctive=conjunctive
+    )
+    return _i64(_round_scores(res, "score", "score_r", SCORE_ROUND), ["rank"])
+
+
+#: value-column type of a float rounded to SCORE_ROUND
+_ROUNDED = object()
+#: value columns of a ranked hit list, of positional match counts, and of
+#: a ts-sorted hit list
+_HITS = {"doc_id": pa.int64(), "score_r": _ROUNDED}
+_MATCHES = {"doc_id": pa.int64(), "n_matches": pa.int64()}
+_SPANS = {"doc_id": pa.int64(), "n_spans": pa.int64()}
+_TS_HITS = {"doc_id": pa.int64(), "ts_us": pa.int64()}
+
+
+def _per_query(queries, call, cols: dict, rank=1) -> pa.Table:
+    """One table over a list of ``(query_id, *args)`` rows. ``call(*args)``
+    returns one query's aligned value arrays, one per entry of ``cols``
+    (column name -> arrow type, or ``_ROUNDED``), or None for no rows.
+    Columns: query_id; then rank, 1-based from ``rank`` (an int, or a
+    function of ``*args`` such as a page-2 ``k + 1``), left out when
+    ``rank`` is None; then ``cols`` in order."""
+    fields = [("query_id", pa.string())]
+    if rank is not None:
+        fields.append(("rank", pa.int64()))
+    fields += [(c, pa.float64() if t is _ROUNDED else t) for c, t in cols.items()]
+    schema = pa.schema(fields)
+    tables = []
+    for qid, *args in queries:
+        out = call(*args)
+        if out is None:
+            continue
+        n = len(out[0])
+        head = [[qid] * n]
+        if rank is not None:
+            first = rank(*args) if callable(rank) else rank
+            head.append(np.arange(first, first + n))
+        arrays = [pa.array(v, f.type) for f, v in zip(schema, [*head, *out])]
+        tables.append(pa.Table.from_arrays(arrays, schema=schema))
+    res = pa.concat_tables(tables) if tables else schema.empty_table()
+    for c, t in cols.items():
+        if t is _ROUNDED:
+            res = _round_scores(res, c, c, SCORE_ROUND)
+    return res
+
+
 # ===========================================================================
 # entry
 # ===========================================================================
@@ -698,8 +765,7 @@ def entry() -> Any:
 def queries() -> dict[str, Callable[[str], Any]]:
     import ray.data
 
-    def _docs(sf_dir, columns=None):
-        return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+    from engine.query import Bm25Index
 
     # ---- core IR engine over `documents` --------------------------------
     def tokenize_tf(sf_dir):
@@ -741,23 +807,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     def bm25_topk(sf_dir):
-        from engine.query import batch_topk
-
-        idx = _documents_index(sf_dir)
-        res = batch_topk(_doc_query_items(), idx, concurrency=2, rank_round=RANK_ROUND)
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _batch_hits(_documents_index(sf_dir), _items(DOC_QUERIES))
 
     def bm25_topk_pfor(sf_dir):
         """bm25_topk over an index built with postings_codec="pfor" —
         identical rankings through the block codec's decode_block entry
         points (same oracle as bm25_topk)."""
-        from engine.query import batch_topk
-
-        idx = _documents_index_pfor(sf_dir)
-        res = batch_topk(_doc_query_items(), idx, concurrency=2, rank_round=RANK_ROUND)
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _batch_hits(_documents_index_pfor(sf_dir), _items(DOC_QUERIES))
 
     def bm25_topk_stemmed(sf_dir):
         """BM25 over an index built with analyzer="s_stem" (Harman S-stem
@@ -767,13 +823,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         surface forms in STEM_QUERIES resolve through the same chain read
         back from stats.json. The oracle restates the stemmer as a DuckDB
         CASE over the token list — byte-identical contract."""
-        from engine.query import batch_topk
-
-        idx = _documents_index_stem(sf_dir)
-        items = [{"query_id": q, "text": t, "k": k} for q, t, k in STEM_QUERIES]
-        res = batch_topk(items, idx, concurrency=2, rank_round=RANK_ROUND)
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _batch_hits(_documents_index_stem(sf_dir), _items(STEM_QUERIES))
 
     def bm25_topk_stopped(sf_dir):
         """BM25 over an index built with stopwords=("the","a") — the stop
@@ -781,237 +831,104 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the analyzed stream) all shift vs bm25_topk; the D4_head_terms query
         ("the a") analyzes to zero terms and must return no hits. Oracle
         restates the filter as list_filter + dropped VALUES rows."""
-        from engine.query import batch_topk
-
-        idx = _documents_index_stopped(sf_dir)
-        res = batch_topk(_doc_query_items(), idx, concurrency=2, rank_round=RANK_ROUND)
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _batch_hits(_documents_index_stopped(sf_dir), _items(DOC_QUERIES))
 
     def bm25_topk_reindexed(sf_dir):
         """BM25 over an index REBUILT from the stemmed index's own doc store
         with analyzer="standard" (engine.update.reindex — the _reindex
         verb): plural query surface forms now match only the odd (planted)
         docs; the oracle is plain BM25 over the derived table."""
-        from engine.query import batch_topk
-
-        idx = _documents_index_destem(sf_dir)
-        items = [{"query_id": q, "text": t, "k": k} for q, t, k in STEM_QUERIES]
-        res = batch_topk(items, idx, concurrency=2, rank_round=RANK_ROUND)
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _batch_hits(_documents_index_destem(sf_dir), _items(STEM_QUERIES))
 
     def bm25_topk_merged(sf_dir):
         """bm25_topk over an index assembled by merge_indexes from two
         parity-split half-builds — posting runs grafted verbatim, stats
         recomputed; results must be bit-identical to one full build, so the
         oracle is the same full-corpus BM25 SQL as bm25_topk."""
-        from engine.query import batch_topk
-
-        idx = _documents_index_merged(sf_dir)
-        res = batch_topk(_doc_query_items(), idx, concurrency=2, rank_round=RANK_ROUND)
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _batch_hits(_documents_index_merged(sf_dir), _items(DOC_QUERIES))
 
     def bm25_topk_removed(sf_dir):
         """REMOVE + COMPACT lifecycle under the value-hash gate: build, purge
         doc_id % 7 == 3, compact, then the standard query set — oracle is BM25
         over the corpus minus the removed docs (J5/S5 lifecycle analog of the
         reference's StrucmotifUpdate REMOVE, Operation.java)."""
-        from engine.query import batch_topk
-
-        idx = _documents_index_removed(sf_dir)
-        res = batch_topk(_doc_query_items(), idx, concurrency=2, rank_round=RANK_ROUND)
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _batch_hits(_documents_index_removed(sf_dir), _items(DOC_QUERIES))
 
     def bm25_conjunctive(sf_dir):
-        from engine.query import batch_topk
-
-        idx = _documents_index(sf_dir)
-        res = batch_topk(
-            _doc_query_items(), idx, concurrency=2, rank_round=RANK_ROUND, conjunctive=True
-        )
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _batch_hits(_documents_index(sf_dir), _items(DOC_QUERIES), conjunctive=True)
 
     def bm25_topk_filtered(sf_dir):
         """Whitelist (semi-join) search-space filter: only doc_id % 3 == 0 —
         the allowedStructures filter (DefaultTargetAssembler.java:66-74)."""
         import pyarrow.parquet as pq
 
-        from engine.query import Bm25Index
-
-        idx = _documents_index(sf_dir)
-        bm = Bm25Index(idx)
+        bm = Bm25Index(_documents_index(sf_dir))
         ids = (
             pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])["doc_id"]
             .to_numpy(zero_copy_only=False)
             .astype(np.int64)
         )
         allowed = ids[ids % 3 == 0]
-        tables = [
-            bm.topk_table(qid, text, k, rank_round=RANK_ROUND, allowed=allowed)
-            for qid, text, k in DOC_QUERIES
-        ]
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _per_query(
+            DOC_QUERIES,
+            lambda text, k: bm.topk(text, k, rank_round=RANK_ROUND, allowed=allowed),
+            _HITS,
+        )
 
     def bm25_topk_category(sf_dir):
         """Query-time content-class filter: the docmap category sets (the
         resultsContentType experimental/computational filter,
         DefaultStructureIndexProvider.java:36-89) restrict hits to
         source='src1' docs via the precomputed allowed set."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
         allowed = bm.category_docs("src1")
-        tables = [
-            bm.topk_table(qid, text, k, rank_round=RANK_ROUND, allowed=allowed)
-            for qid, text, k in DOC_QUERIES
-        ]
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _per_query(
+            DOC_QUERIES,
+            lambda text, k: bm.topk(text, k, rank_round=RANK_ROUND, allowed=allowed),
+            _HITS,
+        )
 
     def bm25_topk_incremental(sf_dir):
         """Half-build + incremental ADD of the other half, then the same
         queries — the UpdateIntegrationTest 'ADD keeps results consistent'
         gate, checked against the SAME full-corpus SQL oracle as bm25_topk."""
-        import ray.data
-
-        from engine.build import build_index
-        from engine.query import batch_topk
-        from engine.update import add_documents
-
-        idx = _cache(sf_dir, "documents_index_incr")
-        stats_path = os.path.join(idx, "stats.json")
-        import json as _json
-
-        need_build = True
-        if os.path.exists(stats_path):
-            with open(stats_path) as f:
-                need_build = _json.load(f).get("generation", 0) < 1
-        if need_build:
-            import shutil
-
-            shutil.rmtree(idx, ignore_errors=True)
-            docs = ray.data.read_parquet(
-                f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-            )
-            # split point WITHOUT pulling the id column to the driver: the
-            # parquet footer's per-file row counts + min/max id stats give an
-            # O(#files) approximate median (exactness is irrelevant — the
-            # split only decides which half arrives via incremental ADD)
-            import pyarrow.parquet as _pq
-
-            pf = _pq.ParquetFile(f"{sf_dir}/documents.parquet")
-            ci = pf.schema_arrow.names.index("doc_id")
-            md = pf.metadata
-            lo = min(
-                md.row_group(i).column(ci).statistics.min for i in range(md.num_row_groups)
-            )
-            hi = max(
-                md.row_group(i).column(ci).statistics.max for i in range(md.num_row_groups)
-            )
-            median = int((lo + hi) // 2)
-
-            first = docs.filter(expr=f"doc_id <= {median}")
-            rest = docs.filter(expr=f"doc_id > {median}")
-            build_index(first, idx, id_col="doc_id", n_buckets=8, n_salts=4, hot_fraction=0.05)
-            add_documents(idx, rest, id_col="doc_id")
-        res = batch_topk(_doc_query_items(), idx, concurrency=2, rank_round=RANK_ROUND)
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
-
-    def _documents_posindex(sf_dir):
-        from engine.build import build_index
-
-        idx = _cache(sf_dir, "documents_posindex")
-        if not os.path.exists(os.path.join(idx, "stats.json")):
-            ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-            build_index(
-                ds, idx, id_col="doc_id", n_buckets=8, n_salts=4, hot_fraction=0.05,
-                positions=True,
-            )
-        return idx
+        return _batch_hits(_documents_index_incremental(sf_dir), _items(DOC_QUERIES))
 
     def phrase_match(sf_dir):
         """Exact-phrase matching over positional postings (J4: the reference's
         path-overlap join consumes per-occurrence identifier payloads,
         TargetStructure.java:78-111). Integer-exact output."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_posindex(sf_dir))
-        qids, dids, cnts = [], [], []
-        for qid, phrase in PHRASE_QUERIES:
-            d, n = bm.phrase_match(phrase)
-            qids.extend([qid] * len(d))
-            dids.extend(d.tolist())
-            cnts.extend(n.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "n_matches": pa.array(cnts, pa.int64()),
-            }
-        )
+        return _per_query(PHRASE_QUERIES, bm.phrase_match, _MATCHES, rank=None)
 
     def proximity_match(sf_dir):
         """Windowed co-occurrence ('slop') queries over positional postings —
         phrase_match's tolerant sibling; ordered and unordered windows."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_posindex(sf_dir))
-        qids, dids, cnts = [], [], []
-        for qid, a, b, w, ordered in PROXIMITY_QUERIES:
-            d, n = bm.proximity_match(a, b, w, ordered=ordered)
-            qids.extend([qid] * len(d))
-            dids.extend(d.tolist())
-            cnts.extend(n.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "n_pairs": pa.array(cnts, pa.int64()),
-            }
+        return _per_query(
+            PROXIMITY_QUERIES,
+            lambda a, b, w, ordered: bm.proximity_match(a, b, w, ordered=ordered),
+            {"doc_id": pa.int64(), "n_pairs": pa.int64()},
+            rank=None,
         )
 
     def span_near(sf_dir):
         """Ordered multi-term spans (Lucene SpanNearQuery, inOrder): docs with
         positions p1 < p2 < p3 in query-term order, p_last - p_first <= w,
         with exact tuple counts — rank-telescoped, no per-doc loop."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_posindex(sf_dir))
-        qids, dids, cnts = [], [], []
-        for qid, terms, w in SPAN_QUERIES:
-            d, n = bm.span_near(terms, w)
-            qids.extend([qid] * len(d))
-            dids.extend(d.tolist())
-            cnts.extend(n.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "n_spans": pa.array(cnts, pa.int64()),
-            }
-        )
+        return _per_query(SPAN_QUERIES, bm.span_near, _SPANS, rank=None)
 
     def span_near_scored(sf_dir):
         """RANKED sloppy spans (Lucene SloppyPhraseScorer, ordered): sloppy
         frequency 1/(span_slop+1) per tuple, BM25 over sf with summed term
         idfs — the positional surface's ranked-retrieval mode."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_posindex(sf_dir))
-        tables = []
-        for qid, terms, w in SPAN_QUERIES:
-            d, s = bm.span_near_topk(terms, w, 10, rank_round=RANK_ROUND)
-            tables.append(_hits_table(qid, d, s))
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+        return _per_query(
+            SPAN_QUERIES,
+            lambda terms, w: bm.span_near_topk(terms, w, 10, rank_round=RANK_ROUND),
+            _HITS,
+        )
 
     def kwic(sf_dir):
         """Keyword-in-context: ±2-token snippets around every positional-index
@@ -1049,21 +966,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Highlight primitive: every (doc, token-position) occurrence of a
         term, read from the positional postings (ArrayBucket.identifierData
         analog) — never from the raw text. Integer-exact."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_posindex(sf_dir))
-        qids, dids, poss = [], [], []
-        for qid, term in HIGHLIGHT_QUERIES:
-            d, p = bm.term_positions(term)
-            qids.extend([qid] * len(d))
-            dids.extend(d.tolist())
-            poss.extend(p.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "pos": pa.array(poss, pa.int64()),
-            }
+        return _per_query(
+            HIGHLIGHT_QUERIES, bm.term_positions,
+            {"doc_id": pa.int64(), "pos": pa.int64()}, rank=None,
         )
 
     def hash_split(sf_dir):
@@ -1135,7 +1041,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from engine.ops.serving import rank_eval as _re
 
         return _re(
-            _documents_index(sf_dir), _doc_query_items(), rank_round=RANK_ROUND
+            _documents_index(sf_dir), _items(DOC_QUERIES), rank_round=RANK_ROUND
         )
 
 
@@ -1153,23 +1059,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def span_not(sf_dir):
         """Exclusion spans (Lucene SpanNotQuery): include-term occurrences
         with no exclude-term within dist tokens; surviving counts per doc."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_posindex(sf_dir))
-        qids, dids, cnts = [], [], []
-        for qid, inc, exc, dist in SPAN_NOT_QUERIES:
-            d, n = bm.span_not(inc, exc, dist)
-            qids.extend([qid] * len(d))
-            dids.extend(d.tolist())
-            cnts.extend(n.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "n_spans": pa.array(cnts, pa.int64()),
-            }
-        )
-
+        return _per_query(SPAN_NOT_QUERIES, bm.span_not, _SPANS, rank=None)
 
     def vocab_drift(sf_dir):
         """Corpus drift report: old-vs-new slice per-term df, top movers by
@@ -1236,7 +1127,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from engine.ops.serving import hard_negatives as _hn
 
         return _hn(
-            _documents_index(sf_dir), _doc_query_items(), n_neg=3,
+            _documents_index(sf_dir), _items(DOC_QUERIES), n_neg=3,
             rank_round=RANK_ROUND,
         )
 
@@ -1247,7 +1138,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         re-rank; the whole plumbing value-hash-gated."""
         from engine.ops.serving import rerank_stub_topk as _rr
 
-        return _rr(_documents_index(sf_dir), _doc_query_items(), rank_round=RANK_ROUND)
+        return _rr(_documents_index(sf_dir), _items(DOC_QUERIES), rank_round=RANK_ROUND)
 
 
     def embedding_drift(sf_dir):
@@ -1304,43 +1195,27 @@ def queries() -> dict[str, Callable[[str], Any]]:
         items = [{"query_id": q, "text": t} for q, t, _k in DOC_QUERIES]
         return _collect(_fc(_documents_index(sf_dir), items, docs))
 
-    def _hits_table(qid, d, s):
-        return pa.table(
-            {
-                "query_id": pa.array([qid] * len(d), pa.string()),
-                "rank": pa.array(np.arange(1, len(d) + 1, dtype=np.int64)),
-                "doc_id": pa.array(d, pa.int64()),
-                "score": pa.array(s, pa.float64()),
-            }
-        )
-
     def bm25_topk_msm(sf_dir):
         """Minimum-should-match disjunction (the assembler's per-pair
         hit-count floor, DefaultTargetAssembler.java:108-161): docs matching
         >= m distinct query terms, BM25-ranked; rounded cross-engine ties."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, text, m, k in MSM_QUERIES:
-            d, s = bm.topk_msm(text, m, k, rank_round=RANK_ROUND)
-            tables.append(_hits_table(qid, d, s))
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+        return _per_query(
+            MSM_QUERIES,
+            lambda text, m, k: bm.topk_msm(text, m, k, rank_round=RANK_ROUND),
+            _HITS,
+        )
 
     def bm25_topk_must_not(sf_dir):
         """Boolean must_not: J3's anti-join (excludedStructures,
         DefaultTargetAssembler.java:151-161) with the exclusion set drawn from
         the negative terms' own postings."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, text, negs, k in NOT_QUERIES:
-            d, s = bm.topk_must_not(text, negs, k, rank_round=RANK_ROUND)
-            tables.append(_hits_table(qid, d, s))
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+        return _per_query(
+            NOT_QUERIES,
+            lambda text, negs, k: bm.topk_must_not(text, negs, k, rank_round=RANK_ROUND),
+            _HITS,
+        )
 
     def bm25_topk_boolean(sf_dir):
         """Nested AND/OR/NOT retrieval (Lucene BooleanQuery; J2 conjunctive
@@ -1348,79 +1223,62 @@ def queries() -> dict[str, Callable[[str], Any]]:
         DefaultTargetAssembler.java:108-161): predicate evaluated as
         vectorized membership masks over the positive postings' union, BM25
         scored over the positive leaves each surviving doc contains."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, expr, k in BOOL_QUERIES:
-            d, s = bm.boolean_topk(expr, k, rank_round=RANK_ROUND)
-            tables.append(_hits_table(qid, d, s))
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+        return _per_query(
+            BOOL_QUERIES,
+            lambda expr, k: bm.boolean_topk(expr, k, rank_round=RANK_ROUND),
+            _HITS,
+        )
+
+    def _variant_topk(bm, expand, queries):
+        """Pattern queries: ``expand(pattern)`` gives the matching vocab
+        terms, scored as one OR-slot through expanded_topk; a pattern that
+        matches no term has no hits."""
+
+        def call(pattern, k):
+            variants = expand(pattern)
+            if not variants:
+                return None
+            return bm.expanded_topk([variants], k, rank_round=RANK_ROUND)
+
+        return _per_query(queries, call, _HITS)
 
     def bm25_topk_prefix(sf_dir):
         """Prefix (wildcard) query: vocabulary scan expands the prefix into an
         OR-slot of concrete terms, scored max-over-variants through the same
         expanded-topk path as Q1/Q2 tolerance expansion."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, prefix, k in PREFIX_QUERIES:
-            variants = bm.prefix_terms(prefix)
-            if not variants:
-                continue
-            d, s = bm.expanded_topk([variants], k, rank_round=RANK_ROUND)
-            tables.append(_hits_table(qid, d, s))
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+        return _variant_topk(bm, bm.prefix_terms, PREFIX_QUERIES)
 
     def rm3_topk(sf_dir):
         """Pseudo-relevance feedback (RM3/Rocchio): BM25 top-10 -> integer
         feedback term mass * idf selects 5 expansion terms from the doc
         store -> weighted union re-retrieval (original terms weight 1,
         expansion beta-scaled)."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, text, k in RM3_QUERIES:
-            d, s = bm.rm3_topk(
+        return _per_query(
+            RM3_QUERIES,
+            lambda text, k: bm.rm3_topk(
                 text, k, fb_docs=RM3_FB_DOCS, fb_terms=RM3_FB_TERMS,
                 beta=RM3_BETA, rank_round=RANK_ROUND,
                 select_round=RM3_SELECT_ROUND,
-            )
-            tables.append(_hits_table(qid, d, s))
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+            ),
+            _HITS,
+        )
 
     def best_passages(sf_dir):
         """Best-passage extraction (RAG passage retrieval): for each BM25
         hit, the PASSAGE_WINDOW-token span maximizing idf-weighted query-
         term occurrence mass, earliest-start ties — prefix-sum sweep over
         positional postings."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_posindex(sf_dir))
-        tables = []
-        for qid, text, k in DOC_QUERIES:
-            d, st, sc = bm.best_passages(
+        return _per_query(
+            DOC_QUERIES,
+            lambda text, k: bm.best_passages(
                 text, k, window=PASSAGE_WINDOW, rank_round=RANK_ROUND
-            )
-            if not len(d):
-                continue
-            tables.append(
-                pa.table(
-                    {
-                        "query_id": pa.array([qid] * len(d), pa.string()),
-                        "rank": pa.array(np.arange(1, len(d) + 1, dtype=np.int64)),
-                        "doc_id": pa.array(d, pa.int64()),
-                        "start": pa.array(st, pa.int64()),
-                        "passage_r": pa.array(sc, pa.float64()),
-                    }
-                )
-            )
-        return pa.concat_tables(tables)
+            ),
+            {"doc_id": pa.int64(), "start": pa.int64(), "passage_r": pa.float64()},
+        )
 
     def suggest_did_you_mean(sf_dir):
         """Did-you-mean: ed<=1 vocab suggestions for unindexed tokens,
@@ -1446,34 +1304,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Deep paging: page 2 of every DOC_QUERY via the search-after
         cursor (last row of page 1) — a pure filter over the match set, so
         ranks k+1..2k come out without an offset-sized buffer."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, text, k in DOC_QUERIES:
+
+        def page2(text, k):
             d1, s1 = bm.topk(text, k, rank_round=RANK_ROUND)
             if len(d1) < k:
-                continue  # page 1 short -> no page 2
+                return None  # page 1 short -> no page 2
             # np.round, NOT builtin round: the cursor key must be bit-equal
             # to the np.round'ed keys topk_after compares against
             cursor = (float(np.round(s1[-1:], RANK_ROUND)[0]), int(d1[-1]))
-            d2, s2 = bm.topk_after(text, k, cursor, rank_round=RANK_ROUND)
-            if not len(d2):
-                continue
-            tables.append(
-                pa.table(
-                    {
-                        "query_id": pa.array([qid] * len(d2), pa.string()),
-                        "rank": pa.array(
-                            np.arange(k + 1, k + 1 + len(d2), dtype=np.int64)
-                        ),
-                        "doc_id": pa.array(d2, pa.int64()),
-                        "score": pa.array(s2, pa.float64()),
-                    }
-                )
-            )
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+            return bm.topk_after(text, k, cursor, rank_round=RANK_ROUND)
+
+        return _per_query(DOC_QUERIES, page2, _HITS, rank=lambda text, k: k + 1)
 
     def hybrid_rrf_topk(sf_dir):
         """Hybrid retrieval: BM25 top-depth over the documents index fused
@@ -1483,7 +1325,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         from engine.ops.hybrid import rrf_fuse
         from engine.ops.similarity import brute_topk
-        from engine.query import Bm25Index
 
         bm = Bm25Index(_documents_index(sf_dir))
         ds = ray.data.read_parquet(
@@ -1504,80 +1345,37 @@ def queries() -> dict[str, Callable[[str], Any]]:
         dense_by_q = {}
         for qid_, grp in dense.to_pandas().groupby("query_id"):
             dense_by_q[int(qid_)] = grp.sort_values("rank")["vec_id"].to_numpy()
-        out = []
-        for qid, text, v in HYBRID_QUERIES:
-            lex_docs, _ = bm.topk(text, HYBRID_DEPTH, rank_round=RANK_ROUND)
-            d, s = rrf_fuse(
-                lex_docs, dense_by_q.get(v, np.empty(0, np.int64)),
+        return _per_query(
+            HYBRID_QUERIES,
+            lambda text, v: rrf_fuse(
+                bm.topk(text, HYBRID_DEPTH, rank_round=RANK_ROUND)[0],
+                dense_by_q.get(v, np.empty(0, np.int64)),
                 HYBRID_K, c=RRF_C,
-            )
-            out.append(
-                pa.table(
-                    {
-                        "query_id": pa.array([qid] * len(d), pa.string()),
-                        "rank": pa.array(np.arange(1, len(d) + 1, dtype=np.int64)),
-                        "doc_id": pa.array(d, pa.int64()),
-                        "rrf": pa.array(s, pa.float64()),
-                    }
-                )
-            )
-        return pa.concat_tables([t for t in out if t.num_rows])
+            ),
+            {"doc_id": pa.int64(), "rrf": pa.float64()},
+        )
 
     def bm25_topk_regex(sf_dir):
         """Regex term query (Lucene RegexpQuery): RE2 full-match vocabulary
         scan expands the pattern into an OR-slot of concrete terms, scored
         max-over-variants through the same expanded-topk path as prefix."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, pattern, k in REGEX_QUERIES:
-            variants = bm.regex_terms(pattern)
-            if not variants:
-                continue
-            d, s = bm.expanded_topk([variants], k, rank_round=RANK_ROUND)
-            tables.append(_hits_table(qid, d, s))
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+        return _variant_topk(bm, bm.regex_terms, REGEX_QUERIES)
 
     def bm25_topk_wildcard(sf_dir):
         """Wildcard term query (Lucene WildcardQuery): '*'/'?' glob compiled
         to an RE2 full match (shared verbatim with the oracle), expanded
         against the term dictionary and scored max-over-variants through the
         same expanded-topk path as prefix/regex."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, patt, k in WILDCARD_QUERIES:
-            variants = bm.wildcard_terms(patt)
-            if not variants:
-                continue
-            d, s = bm.expanded_topk([variants], k, rank_round=RANK_ROUND)
-            tables.append(_hits_table(qid, d, s))
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+        return _variant_topk(bm, bm.wildcard_terms, WILDCARD_QUERIES)
 
     def phrase_prefix_match(sf_dir):
         """ES match_phrase_prefix: exact phrase on every token but the last,
         which expands as a prefix against the vocab (capped); occurrence
         counts summed over the disjoint expansions. Integer-exact."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_posindex(sf_dir))
-        qids, dids, cnts = [], [], []
-        for qid, phrase in PHRASE_PREFIX_QUERIES:
-            d, n = bm.phrase_prefix_match(phrase)
-            qids.extend([qid] * len(d))
-            dids.extend(d.tolist())
-            cnts.extend(n.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "n_matches": pa.array(cnts, pa.int64()),
-            }
-        )
+        return _per_query(PHRASE_PREFIX_QUERIES, bm.phrase_prefix_match, _MATCHES, rank=None)
 
     def dsir_select(sf_dir):
         """DSIR importance resampling (Xie et al. 2023, arXiv:2302.03169):
@@ -1610,80 +1408,35 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Q1/Q2 analog: per-slot OR-groups (tolerance expansion / exchanges,
         ResiduePairOccurrence.java:166-227) scored as sum over slots of the
         max variant contribution; rounded ranking for cross-engine ties."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, slots, k in EXPANDED_QUERIES:
-            d, s = bm.expanded_topk(slots, k, rank_round=RANK_ROUND)
-            tables.append(
-                pa.table(
-                    {
-                        "query_id": pa.array([qid] * len(d), pa.string()),
-                        "rank": pa.array(np.arange(1, len(d) + 1, dtype=np.int64)),
-                        "doc_id": pa.array(d, pa.int64()),
-                        "score": pa.array(s, pa.float64()),
-                    }
-                )
-            )
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+        return _per_query(
+            EXPANDED_QUERIES,
+            lambda slots, k: bm.expanded_topk(slots, k, rank_round=RANK_ROUND),
+            _HITS,
+        )
 
     def bm25_topk_fuzzy(sf_dir):
         """Fuzzy search: each query term -> its Levenshtein<=1 vocab
         neighborhood (FastSS deletion index over the term dictionary), scored
         through the unchanged expanded_topk path."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, terms, k in FUZZY_QUERIES:
-            d, s = bm.fuzzy_topk(terms, k, rank_round=RANK_ROUND)
-            tables.append(
-                pa.table(
-                    {
-                        "query_id": pa.array([qid] * len(d), pa.string()),
-                        "rank": pa.array(np.arange(1, len(d) + 1, dtype=np.int64)),
-                        "doc_id": pa.array(d, pa.int64()),
-                        "score": pa.array(s, pa.float64()),
-                    }
-                )
-            )
-        tables = [t for t in tables if t.num_rows]
-        if not tables:
-            return pa.table(
-                {
-                    "query_id": pa.array([], pa.string()),
-                    "rank": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "score_r": pa.array([], pa.float64()),
-                }
-            )
-        res = pa.concat_tables(tables)
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+        return _per_query(
+            FUZZY_QUERIES,
+            lambda terms, k: bm.fuzzy_topk(terms, k, rank_round=RANK_ROUND),
+            _HITS,
+        )
 
     def qld_topk(sf_dir):
         """Second scoring function over the same index: query-likelihood with
         Dirichlet smoothing (mu=2000) over docs matching >= 1 term."""
-        from engine.query import Bm25Index
         from engine.tokenize import tokenize_text
 
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, text, k in DOC_QUERIES:
-            d, s = bm.qld_topk(tokenize_text(text), k, rank_round=RANK_ROUND)
-            tables.append(
-                pa.table(
-                    {
-                        "query_id": pa.array([qid] * len(d), pa.string()),
-                        "rank": pa.array(np.arange(1, len(d) + 1, dtype=np.int64)),
-                        "doc_id": pa.array(d, pa.int64()),
-                        "score": pa.array(s, pa.float64()),
-                    }
-                )
-            )
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+        return _per_query(
+            DOC_QUERIES,
+            lambda text, k: bm.qld_topk(tokenize_text(text), k, rank_round=RANK_ROUND),
+            _HITS,
+        )
 
     def bm25_topk_sharded(sf_dir):
         """Scatter/gather over term-partitioned postings shards: each shard
@@ -1693,81 +1446,46 @@ def queries() -> dict[str, Callable[[str], Any]]:
         replica-per-JVM model lacks at 100x corpus."""
         from engine.serve import ShardedQueryService
 
-        idx = _documents_index(sf_dir)
-        svc = ShardedQueryService(idx, n_shards=3)
+        svc = ShardedQueryService(_documents_index(sf_dir), n_shards=3)
         try:
-            tables = []
-            for qid, text, k in DOC_QUERIES:
-                d, s = svc.topk(text, k, rank_round=RANK_ROUND)
-                tables.append(
-                    pa.table(
-                        {
-                            "query_id": pa.array([qid] * len(d), pa.string()),
-                            "rank": pa.array(np.arange(1, len(d) + 1, dtype=np.int64)),
-                            "doc_id": pa.array(d, pa.int64()),
-                            "score": pa.array(s, pa.float64()),
-                        }
-                    )
-                )
-            res = pa.concat_tables([t for t in tables if t.num_rows])
+            return _per_query(
+                DOC_QUERIES,
+                lambda text, k: svc.topk(text, k, rank_round=RANK_ROUND),
+                _HITS,
+            )
         finally:
             svc.shutdown()
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
 
     def more_like_this_stored(sf_dir):
         """Doc-as-query hydrated from the DOC STORE: the query doc's text
         comes from the index's stored-text column (row-group pruned), never
         from a corpus re-read — the reference's query-structure load path.
         Same oracle as `more_like_this`; results must be identical."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        tables = []
-        for qid, src_doc, k in MLT_QUERIES:
-            d, s = bm.more_like_this_id(src_doc, k, m=MLT_M, rank_round=RANK_ROUND)
-            tables.append(
-                pa.table(
-                    {
-                        "query_id": pa.array([qid] * len(d), pa.string()),
-                        "rank": pa.array(np.arange(1, len(d) + 1, dtype=np.int64)),
-                        "doc_id": pa.array(d, pa.int64()),
-                        "score": pa.array(s, pa.float64()),
-                    }
-                )
-            )
-        res = pa.concat_tables(tables)
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+        return _per_query(
+            MLT_QUERIES,
+            lambda src_doc, k: bm.more_like_this_id(
+                src_doc, k, m=MLT_M, rank_round=RANK_ROUND
+            ),
+            _HITS,
+        )
 
     def more_like_this(sf_dir):
         """Doc-as-query: the source doc's top-m tf*idf terms (rounded select,
         term-ascending ties) feed the standard exact top-k — the analog of
         querying by a whole structure's own descriptors
         (Strucmotif.searchForStructures)."""
-        import pyarrow.compute as pc
         import pyarrow.parquet as pq
 
-        from engine.query import Bm25Index
-
-        idx = _documents_index(sf_dir)
-        bm = Bm25Index(idx)
+        bm = Bm25Index(_documents_index(sf_dir))
         docs = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-        tables = []
-        for qid, src_doc, k in MLT_QUERIES:
+
+        def mlt(src_doc, k):
             row = docs.filter(pc.equal(docs["doc_id"], src_doc))
             text = row["text"][0].as_py() if row.num_rows else ""
-            d, s = bm.more_like_this(text or "", k, m=MLT_M, rank_round=RANK_ROUND)
-            tables.append(
-                pa.table(
-                    {
-                        "query_id": pa.array([qid] * len(d), pa.string()),
-                        "rank": pa.array(np.arange(1, len(d) + 1, dtype=np.int64)),
-                        "doc_id": pa.array(d, pa.int64()),
-                        "score": pa.array(s, pa.float64()),
-                    }
-                )
-            )
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        return _round_scores(res, "score", "score_r", SCORE_ROUND)
+            return bm.more_like_this(text or "", k, m=MLT_M, rank_round=RANK_ROUND)
+
+        return _per_query(MLT_QUERIES, mlt, _HITS)
 
     def percolate_conjunctive(sf_dir):
         """Percolation (detect-motifs analog): every (doc, stored query) pair
@@ -2302,12 +2020,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Chunk-level (passage) retrieval — the chunker composed with the
         engine: BM25 top-k over the chunk index; hit ids are
         doc_id * 4096 + chunk_idx, so results point at passages."""
-        from engine.query import batch_topk
-
-        idx = _chunks_index(sf_dir)
-        res = batch_topk(_doc_query_items(), idx, concurrency=2, rank_round=RANK_ROUND)
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _batch_hits(_chunks_index(sf_dir), _items(DOC_QUERIES))
 
     def clean_corpus(sf_dir):
         """Composite pre-training prep: quality gate -> exact dedup (lowest
@@ -2353,35 +2066,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # ---- transcripts flagship (non-SQL; pytest-gated vs python oracle) --
     def transcripts_bm25_topk(sf_dir):
         from engine.queries import QUERY_SET
-        from engine.query import batch_topk
 
-        idx = _transcripts_index(sf_dir)
-        res = batch_topk(QUERY_SET, idx, concurrency=2, rank_round=RANK_ROUND)
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _batch_hits(_transcripts_index(sf_dir), QUERY_SET)
 
     def transcripts_sort_recent(sf_dir):
         """Field-sorted retrieval (ES sort: [{ts: desc}]): ANY-term matches
         ordered most-recent-first through the docmap's ts doc-values column
         (build_index(docvalues=["ts"])) — no BM25, no corpus re-read."""
-        from engine.queries import QUERY_SET
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_transcripts_index(sf_dir))
-        qids, ranks, dids, tss = [], [], [], []
-        for q in QUERY_SET:
-            d, v = bm.topk_by_field(q["text"], "ts", q["k"])
-            qids.extend([q["query_id"]] * len(d))
-            ranks.extend(range(1, len(d) + 1))
-            dids.extend(d.tolist())
-            tss.extend(v.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "ts_us": pa.array(tss, pa.int64()),
-            }
+        return _per_query(
+            _query_set(), lambda text, k: bm.topk_by_field(text, "ts", k), _TS_HITS
         )
 
     def transcripts_bm25_timerange(sf_dir):
@@ -2390,52 +2084,32 @@ def queries() -> dict[str, Callable[[str], Any]]:
         restricted to a fixed 100-hour window through the docmap's ts
         doc-values column; scores are the unfiltered BM25 values and ranking
         within the window is exact (filter applied before truncation)."""
-        from engine.queries import QUERY_SET
-        from engine.query import Bm25Index
         from engine.synth import EPOCH_US
 
         lo = EPOCH_US + 50 * 3_600_000_000
         hi = EPOCH_US + 150 * 3_600_000_000 - 1
         bm = Bm25Index(_transcripts_index(sf_dir))
-        tables = [
-            bm.topk_table(
-                q["query_id"], q["text"], q["k"],
-                rank_round=RANK_ROUND, field_range=("ts", lo, hi),
-            )
-            for q in QUERY_SET
-        ]
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _per_query(
+            _query_set(),
+            lambda text, k: bm.topk(
+                text, k, rank_round=RANK_ROUND, field_range=("ts", lo, hi)
+            ),
+            _HITS,
+        )
 
     def transcripts_sort_recent_page2(sf_dir):
         """Deep paging on the field sort: page 2 of most-recent-first via the
         search_after cursor (last (ts, doc_id) of page 1) — rank continues
         where page 1 ended, and earlier pages are never rematerialized."""
-        from engine.queries import QUERY_SET
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_transcripts_index(sf_dir))
-        qids, ranks, dids, tss = [], [], [], []
-        for q in QUERY_SET:
-            d1, v1 = bm.topk_by_field(q["text"], "ts", q["k"])
-            if len(d1) < q["k"]:
-                continue  # match set exhausted on page 1
-            d2, v2 = bm.topk_by_field(
-                q["text"], "ts", q["k"], after=(int(v1[-1]), int(d1[-1]))
-            )
-            qids.extend([q["query_id"]] * len(d2))
-            ranks.extend(range(q["k"] + 1, q["k"] + 1 + len(d2)))
-            dids.extend(d2.tolist())
-            tss.extend(v2.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "ts_us": pa.array(tss, pa.int64()),
-            }
-        )
+
+        def page2(text, k):
+            d1, v1 = bm.topk_by_field(text, "ts", k)
+            if len(d1) < k:
+                return None  # match set exhausted on page 1
+            return bm.topk_by_field(text, "ts", k, after=(int(v1[-1]), int(d1[-1])))
+
+        return _per_query(_query_set(), page2, _TS_HITS, rank=lambda text, k: k + 1)
 
     def transcripts_match_ts_stats(sf_dir):
         """Metric aggregation under a query (ES min/max/value_count aggs):
@@ -2443,26 +2117,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         match set — postings union + one vectorized doc-values gather, all
         int64 so the compare is hash-exact. Queries with no matches emit no
         row (SQL-group semantics)."""
-        from engine.queries import QUERY_SET
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_transcripts_index(sf_dir))
-        qids, ns, mins, maxs = [], [], [], []
-        for q in QUERY_SET:
-            n, lo, hi = bm.field_stats(q["text"], "ts")
-            if n == 0:
-                continue
-            qids.append(q["query_id"])
-            ns.append(n)
-            mins.append(lo)
-            maxs.append(hi)
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "n_matches": pa.array(ns, pa.int64()),
-                "ts_min": pa.array(mins, pa.int64()),
-                "ts_max": pa.array(maxs, pa.int64()),
-            }
+
+        def stats(text, k):
+            n, lo, hi = bm.field_stats(text, "ts")
+            return ([n], [lo], [hi]) if n else None
+
+        return _per_query(
+            _query_set(), stats,
+            {"n_matches": pa.int64(), "ts_min": pa.int64(), "ts_max": pa.int64()},
+            rank=None,
         )
 
     def transcripts_term_vectors(sf_dir):
@@ -2476,25 +2140,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def _rollover_table(sf_dir, field_range):
         from engine.federate import Federation
-        from engine.queries import QUERY_SET
 
         fed = Federation(list(_transcripts_rollover(sf_dir)))
-        qids, ranks, dids, scores = [], [], [], []
-        for q in QUERY_SET:
-            d, s = fed.topk(
-                q["text"], q["k"], rank_round=RANK_ROUND, field_range=field_range
-            )
-            qids.extend([q["query_id"]] * len(d))
-            ranks.extend(range(1, len(d) + 1))
-            dids.extend(d.tolist())
-            scores.extend(np.round(s, SCORE_ROUND).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "score_r": pa.array(scores, pa.float64()),
-            }
+        return _per_query(
+            _query_set(),
+            lambda text, k: fed.topk(
+                text, k, rank_round=RANK_ROUND, field_range=field_range
+            ),
+            _HITS,
         )
 
     def transcripts_rollover_topk(sf_dir):
@@ -2520,22 +2173,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Exact-phrase matching over the positional TRANSCRIPTS index —
         the J4 positional join on the flagship corpus, including a
         repeated-token phrase (overlapping occurrences count)."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_transcripts_posindex(sf_dir))
-        qids, dids, cnts = [], [], []
-        for qid, phrase in TRANSCRIPT_PHRASES:
-            d, n = bm.phrase_match(phrase)
-            qids.extend([qid] * len(d))
-            dids.extend(d.tolist())
-            cnts.extend(n.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "n_matches": pa.array(cnts, pa.int64()),
-            }
-        )
+        return _per_query(TRANSCRIPT_PHRASES, bm.phrase_match, _MATCHES, rank=None)
 
     def transcripts_bm25_topk_role(sf_dir):
         """Content-class filter on the TRANSCRIPTS surface: the docmap
@@ -2544,21 +2183,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         reference's experimental/computational structure sets
         (DefaultStructureIndexProvider.java:36-89) applied to the flagship
         corpus instead of the relational one."""
-        from engine.queries import QUERY_SET
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_transcripts_index(sf_dir))
         allowed = bm.category_docs("assistant")
-        tables = [
-            bm.topk_table(
-                q["query_id"], q["text"], q["k"],
-                rank_round=RANK_ROUND, allowed=allowed,
-            )
-            for q in QUERY_SET
-        ]
-        res = pa.concat_tables([t for t in tables if t.num_rows])
-        res = _round_scores(res, "score", "score_r", SCORE_ROUND)
-        return _i64(res, ["rank"])
+        return _per_query(
+            _query_set(),
+            lambda text, k: bm.topk(text, k, rank_round=RANK_ROUND, allowed=allowed),
+            _HITS,
+        )
 
     def transcripts_search_context(sf_dir):
         """Hit-in-context serving on the flagship surface: each BM25 top-k
@@ -2587,26 +2218,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         pair hits into per-structure hits
         (DefaultTargetAssembler.java:79-161)."""
         from engine.convsearch import bm25f_conv_topk, conv_field_stats
-        from engine.queries import QUERY_SET
-        from engine.query import Bm25Index
 
         idx = _transcripts_index(sf_dir)
         stats = conv_field_stats(idx, BM25F_WEIGHTS)
         bm = Bm25Index(idx)
-        qids, convs, ranks, scores = [], [], [], []
-        for q in QUERY_SET:
-            c, s = bm25f_conv_topk(bm, stats, q["text"], q["k"], rank_round=RANK_ROUND)
-            qids.extend([q["query_id"]] * len(c))
-            convs.extend([str(x) for x in c])
-            ranks.extend(range(1, len(c) + 1))
-            scores.extend(np.round(s, SCORE_ROUND).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "conv_id": pa.array(convs, pa.string()),
-                "score_r": pa.array(scores, pa.float64()),
-            }
+        return _per_query(
+            _query_set(),
+            lambda text, k: bm25f_conv_topk(bm, stats, text, k, rank_round=RANK_ROUND),
+            {"conv_id": pa.string(), "score_r": _ROUNDED},
         )
 
     def transcripts_collapse_topk(sf_dir):
@@ -2619,26 +2238,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         a searchsorted into the O(n_convs) conv-start array built from the
         docmap change points — no per-candidate metadata reads; only the
         <= k winners hydrate conv_id strings via the doc store."""
-        from engine.queries import QUERY_SET
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_transcripts_index(sf_dir))
-        qids, convs, dids, ranks, scores = [], [], [], [], []
-        for q in QUERY_SET:
-            c, d, s = bm.collapse_topk(q["text"], q["k"], rank_round=RANK_ROUND)
-            qids.extend([q["query_id"]] * len(c))
-            convs.extend([str(x) for x in c])
-            dids.extend(d.tolist())
-            ranks.extend(range(1, len(c) + 1))
-            scores.extend(np.round(s, SCORE_ROUND).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "conv_id": pa.array(convs, pa.string()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "score_r": pa.array(scores, pa.float64()),
-            }
+        return _per_query(
+            _query_set(),
+            lambda text, k: bm.collapse_topk(text, k, rank_round=RANK_ROUND),
+            {"conv_id": pa.string(), **_HITS},
         )
 
     def transcripts_has_child(sf_dir):
@@ -2648,31 +2252,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         conversation's best role-filtered turn (collapse rule) and the
         conversation scores their sum. The reference's per-pair candidate
         intersection (DefaultTargetAssembler.java:79-112) one level up."""
-        from engine.queries import QUERY_SET
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_transcripts_index(sf_dir))
-        qids, convs, pds, cds, ranks, scores = [], [], [], [], [], []
-        for q in QUERY_SET:
-            c, pd_, cd_, s = bm.conv_joint_topk(
-                q["text"], q["text"], "user", "assistant", q["k"],
-                rank_round=RANK_ROUND,
-            )
-            qids.extend([q["query_id"]] * len(c))
-            convs.extend([str(x) for x in c])
-            pds.extend(pd_.tolist())
-            cds.extend(cd_.tolist())
-            ranks.extend(range(1, len(c) + 1))
-            scores.extend(np.round(s, SCORE_ROUND).tolist())
-        return pa.table(
+        return _per_query(
+            _query_set(),
+            lambda text, k: bm.conv_joint_topk(
+                text, text, "user", "assistant", k, rank_round=RANK_ROUND
+            ),
             {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "conv_id": pa.array(convs, pa.string()),
-                "parent_doc": pa.array(pds, pa.int64()),
-                "child_doc": pa.array(cds, pa.int64()),
-                "score_r": pa.array(scores, pa.float64()),
-            }
+                "conv_id": pa.string(),
+                "parent_doc": pa.int64(),
+                "child_doc": pa.int64(),
+                "score_r": _ROUNDED,
+            },
         )
 
     def transcripts_significant_terms(sf_dir):
@@ -2685,110 +2276,62 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (fg_rate - bg_rate) * (fg_rate / bg_rate). Candidates need
         SIG_MIN_DC distinct foreground docs; deterministic order is rounded
         score desc, term asc."""
-        from engine.queries import QUERY_SET
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_transcripts_index(sf_dir))
-        qids, ranks, terms, fgs, bgs, scores = [], [], [], [], [], []
-        for q in QUERY_SET:
-            t, fg, bg, s = bm.significant_terms(
-                q["text"],
+        return _per_query(
+            _query_set(),
+            lambda text, k: bm.significant_terms(
+                text,
                 k_docs=SIG_K_DOCS,
                 top_terms=SIG_TOP_TERMS,
                 min_doc_count=SIG_MIN_DC,
                 rank_round=RANK_ROUND,
-            )
-            qids.extend([q["query_id"]] * len(t))
-            ranks.extend(range(1, len(t) + 1))
-            terms.extend(t)
-            fgs.extend(fg.tolist())
-            bgs.extend(bg.tolist())
-            scores.extend(np.round(s, SCORE_ROUND).tolist())
-        return pa.table(
+            ),
             {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "term": pa.array(terms, pa.string()),
-                "fg_df": pa.array(fgs, pa.int64()),
-                "bg_df": pa.array(bgs, pa.int64()),
-                "score_r": pa.array(scores, pa.float64()),
-            }
+                "term": pa.string(),
+                "fg_df": pa.int64(),
+                "bg_df": pa.int64(),
+                "score_r": _ROUNDED,
+            },
         )
 
     def bm25_topk_dismax(sf_dir):
         """Disjunction-max ranking (Lucene DisjunctionMaxQuery): per doc,
         best single term's BM25 contribution + 1/4 of the rest —
         max + tie*(sum - max), dyadic tie keeps the combine exact."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        qids, ranks, dids, scores = [], [], [], []
-        for q in _doc_query_items():
-            d, s = bm.dismax_topk(
-                q["text"], q["k"], tie_breaker=0.25, rank_round=RANK_ROUND
-            )
-            qids.extend([q["query_id"]] * len(d))
-            ranks.extend(range(1, len(d) + 1))
-            dids.extend(d.tolist())
-            scores.extend(np.round(s, SCORE_ROUND).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "score_r": pa.array(scores, pa.float64()),
-            }
+        return _per_query(
+            DOC_QUERIES,
+            lambda text, k: bm.dismax_topk(
+                text, k, tie_breaker=0.25, rank_round=RANK_ROUND
+            ),
+            _HITS,
         )
 
     def bm25_topk_boosted(sf_dir):
         """Per-term query boosts (the Lucene ``term^boost`` BoostQuery
         surface): score = sum_t boost_t * BM25 contribution, boosts cycling
         1.0/1.5/2.0 over each query's ascending terms (_boost_of)."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        qids, ranks, dids, scores = [], [], [], []
-        for q in _doc_query_items():
-            terms = sorted(set(q["text"].lower().split()))
+
+        def boosted(text, k):
+            terms = sorted(set(text.lower().split()))
             boosts = {t: _boost_of(i) for i, t in enumerate(terms)}
-            d, s = bm.boosted_topk(boosts, q["k"], rank_round=RANK_ROUND)
-            qids.extend([q["query_id"]] * len(d))
-            ranks.extend(range(1, len(d) + 1))
-            dids.extend(d.tolist())
-            scores.extend(np.round(s, SCORE_ROUND).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "score_r": pa.array(scores, pa.float64()),
-            }
-        )
+            return bm.boosted_topk(boosts, k, rank_round=RANK_ROUND)
+
+        return _per_query(DOC_QUERIES, boosted, _HITS)
 
     def bm25_topk_synonyms(sf_dir):
         """Synonym-group retrieval with BLENDED statistics (Lucene
         SynonymQuery): each pair of a query's sorted terms scores as one
         pseudo-term — tf summed per doc, df = max member df — so matching
         several synonyms never double-counts idf (_synonym_groups)."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        qids, ranks, dids, scores = [], [], [], []
-        for q in _doc_query_items():
-            d, s = bm.synonym_topk(
-                _synonym_groups(q["text"]), q["k"], rank_round=RANK_ROUND
-            )
-            qids.extend([q["query_id"]] * len(d))
-            ranks.extend(range(1, len(d) + 1))
-            dids.extend(d.tolist())
-            scores.extend(np.round(s, SCORE_ROUND).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "score_r": pa.array(scores, pa.float64()),
-            }
+        return _per_query(
+            DOC_QUERIES,
+            lambda text, k: bm.synonym_topk(
+                _synonym_groups(text), k, rank_round=RANK_ROUND
+            ),
+            _HITS,
         )
 
     def suggest_complete(sf_dir):
@@ -2819,25 +2362,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
         row per (top-k hit, matching query term) with that term's exact BM25
         contribution — the additive pieces the scorer sums, for relevance
         debugging. Bounded by k x query terms, never corpus-sized."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        qids, ranks, dids, terms, contribs = [], [], [], [], []
-        for q in _doc_query_items():
-            d, r, t, c = bm.explain(q["text"], q["k"], rank_round=RANK_ROUND)
-            qids.extend([q["query_id"]] * len(d))
-            ranks.extend(r.tolist())
-            dids.extend(d.tolist())
-            terms.extend(t)
-            contribs.extend(np.round(c, SCORE_ROUND).tolist())
-        return pa.table(
+
+        def explain(text, k):
+            d, r, t, c = bm.explain(text, k, rank_round=RANK_ROUND)
+            return r, d, t, c
+
+        return _per_query(
+            DOC_QUERIES, explain,
             {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "term": pa.array(terms, pa.string()),
-                "contrib_r": pa.array(contribs, pa.float64()),
-            }
+                "rank": pa.int64(),
+                "doc_id": pa.int64(),
+                "term": pa.string(),
+                "contrib_r": _ROUNDED,
+            },
+            rank=None,
         )
 
     def bm25_top_hits_by_source(sf_dir):
@@ -2845,25 +2384,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         for each query and each docmap 'source' class, the top-3 hits among
         that class — composed from cached J3 membership sets, #classes
         bounded filtered queries, never a corpus scan."""
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_documents_index(sf_dir))
-        qids, cats, ranks, dids, scores = [], [], [], [], []
-        for q in _doc_query_items():
-            c, r, d, s = bm.top_hits_grouped(q["text"], 3, rank_round=RANK_ROUND)
-            qids.extend([q["query_id"]] * len(d))
-            cats.extend(c)
-            ranks.extend(r.tolist())
-            dids.extend(d.tolist())
-            scores.extend(np.round(s, SCORE_ROUND).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "category": pa.array(cats, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "score_r": pa.array(scores, pa.float64()),
-            }
+        return _per_query(
+            DOC_QUERIES,
+            lambda text, k: bm.top_hits_grouped(text, 3, rank_round=RANK_ROUND),
+            {"category": pa.string(), "rank": pa.int64(), **_HITS},
+            rank=None,
         )
 
     def bm25_topk_federated(sf_dir):
@@ -2877,20 +2403,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from engine.federate import Federation
 
         fed = Federation(list(_documents_index_fed(sf_dir)))
-        qids, ranks, dids, scores = [], [], [], []
-        for q in _doc_query_items():
-            d, s = fed.topk(q["text"], q["k"], rank_round=RANK_ROUND)
-            qids.extend([q["query_id"]] * len(d))
-            ranks.extend(range(1, len(d) + 1))
-            dids.extend(d.tolist())
-            scores.extend(np.round(s, SCORE_ROUND).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "score_r": pa.array(scores, pa.float64()),
-            }
+        return _per_query(
+            DOC_QUERIES,
+            lambda text, k: fed.topk(text, k, rank_round=RANK_ROUND),
+            _HITS,
         )
 
     def transcripts_date_histogram(sf_dir):
@@ -2951,24 +2467,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         turns (ANY-term postings union, unscored) and distinct conversations
         containing a match — searchsorted into the O(n_convs) conv-start
         array, postings-bounded."""
-        from engine.queries import QUERY_SET
-        from engine.query import Bm25Index
-
         bm = Bm25Index(_transcripts_index(sf_dir))
-        qids, turns, convs = [], [], []
-        for q in QUERY_SET:
-            n_t, n_c = bm.match_stats(q["text"])
-            if not n_t:
-                continue
-            qids.append(q["query_id"])
-            turns.append(n_t)
-            convs.append(n_c)
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "n_turns": pa.array(turns, pa.int64()),
-                "n_convs": pa.array(convs, pa.int64()),
-            }
+
+        def stats(text, k):
+            n_t, n_c = bm.match_stats(text)
+            return ([n_t], [n_c]) if n_t else None
+
+        return _per_query(
+            _query_set(), stats,
+            {"n_turns": pa.int64(), "n_convs": pa.int64()}, rank=None,
         )
 
     def transcripts_conv_stats(sf_dir):

@@ -412,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(m, indent=1, sort_keys=True))
 
     elif args.cmd == "query":
-        from .query import Bm25Index, write_hits_csv
+        from .query import Bm25Index, hits_table, write_hits_csv
 
         if args.registry:
             from . import aliases
@@ -422,7 +422,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.field_range:
                 raise SystemExit("--range is single-reader only (no --sharded)")
             _ray()
-            import numpy as np
             import pyarrow as pa
 
             from .serve import ShardedQueryService
@@ -432,14 +431,7 @@ def main(argv: list[str] | None = None) -> int:
                 d, s = svc.topk(args.text, args.k, conjunctive=args.conjunctive)
             finally:
                 svc.shutdown()
-            tbl = pa.table(
-                {
-                    "query_id": pa.array(["cli"] * len(d), pa.string()),
-                    "rank": pa.array(np.arange(1, len(d) + 1, dtype=np.int64)),
-                    "doc_id": pa.array(d, pa.int64()),
-                    "score": pa.array(s, pa.float64()),
-                }
-            )
+            tbl = hits_table("cli", d, s, rank_type=pa.int64())
         else:
             fr = None
             if args.field_range:

@@ -2161,15 +2161,33 @@ class Bm25Index:
                 query_text, k, rank_round=rank_round, allowed=allowed,
                 excluded=excluded, field_range=field_range,
             )
-        n = len(doc)
-        return pa.table(
-            {
-                "query_id": pa.array([query_id] * n, pa.string()),
-                "rank": pa.array(np.arange(1, n + 1, dtype=np.int32)),
-                "doc_id": pa.array(doc, pa.int64()),
-                "score": pa.array(score, pa.float64()),
-            }
-        )
+        return hits_table(query_id, doc, score)
+
+
+def hits_table(
+    query_id: str, doc, score, rank_type: pa.DataType = pa.int32()
+) -> pa.Table:
+    """One query's hits as a (query_id, rank, doc_id, score) table, rank
+    1-based in the given order. ``hits_table("", [], [])`` is the empty
+    hits table."""
+    n = len(doc)
+    return pa.table(
+        {
+            "query_id": pa.array([query_id] * n, pa.string()),
+            "rank": pa.array(np.arange(1, n + 1), rank_type),
+            "doc_id": pa.array(doc, pa.int64()),
+            "score": pa.array(score, pa.float64()),
+        }
+    )
+
+
+def sorted_hits(tables: list[pa.Table]) -> pa.Table:
+    """Hits tables concatenated and sorted by (query_id, rank); the empty
+    hits table when none has a row."""
+    live = [t for t in tables if t.num_rows]
+    if not live:
+        return hits_table("", [], [])
+    return pa.concat_tables(live).sort_by([("query_id", "ascending"), ("rank", "ascending")])
 
 
 class Bm25Queryer:
@@ -2187,18 +2205,18 @@ class Bm25Queryer:
         self.conjunctive = conjunctive
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        for qid, text, k in zip(
-            batch["query_id"].to_pylist(),
-            batch["text"].to_pylist(),
-            batch["k"].to_pylist(),
-        ):
-            out.append(
+        return sorted_hits(
+            [
                 self.index.topk_table(
                     qid, text, int(k), rank_round=self.rank_round, conjunctive=self.conjunctive
                 )
-            )
-        return pa.concat_tables(out) if out else self.index.topk_table("", "", 0)
+                for qid, text, k in zip(
+                    batch["query_id"].to_pylist(),
+                    batch["text"].to_pylist(),
+                    batch["k"].to_pylist(),
+                )
+            ]
+        )
 
 
 def batch_topk(
@@ -2228,21 +2246,7 @@ def batch_topk(
         concurrency=(1, min(concurrency, max(1, len(queries)))),
         num_cpus=1,
     )
-    tables = [ray.get(r) for r in out.to_arrow_refs()]
-    tables = [t for t in tables if t.num_rows]
-    if not tables:
-        return pa.table(
-            {
-                "query_id": pa.array([], pa.string()),
-                "rank": pa.array([], pa.int32()),
-                "doc_id": pa.array([], pa.int64()),
-                "score": pa.array([], pa.float64()),
-            }
-        )
-    res = pa.concat_tables(tables)
-    import pyarrow.compute as pc
-
-    return res.take(pc.sort_indices(res, sort_keys=[("query_id", "ascending"), ("rank", "ascending")]))
+    return sorted_hits([ray.get(r) for r in out.to_arrow_refs()])
 
 
 def write_hits_csv(hits: pa.Table, path: str) -> None:

@@ -621,9 +621,10 @@ def batch_topk_sharded(
     100x corpus the replica model's per-actor resident set breaks and this
     is the shape that remains.
 
-    CPU budgeting: besides the two actor pools, the Dataset's
-    read/repartition TASKS need a full CPU each — on a small budget leave
-    >= 1 CPU unreserved or the executor deadlocks silently.
+    The coordinator pool reads in-memory blocks made before the shard pool
+    starts, so no task waits behind the actors: with the shard and
+    coordinator actors at fractional CPUs the whole pipeline fits in a
+    one-CPU session.
 
     ``query_items``: iterable of dicts with ``query_id``/``text``/``k``
     (the ``QUERY_SET`` shape). Returns (query_id, rank, doc_id, score), sorted by
@@ -631,37 +632,7 @@ def batch_topk_sharded(
     import numpy as np
     import ray.data
 
-    shards = spawn_shard_pool(index_dir, n_shards=n_shards, num_cpus=shard_num_cpus)
-
-    class _Coordinator:
-        def __init__(self):
-            self.svc = ShardedQueryService(index_dir, shards=shards)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            qids, ranks, docs, scores = [], [], [], []
-            for qid, text, k in zip(
-                batch["query_id"].to_pylist(),
-                batch["text"].to_pylist(),
-                batch["k"].to_pylist(),
-            ):
-                d, s = self.svc.topk(
-                    text, int(k), conjunctive=conjunctive, rank_round=rank_round
-                )
-                qids.extend([qid] * len(d))
-                ranks.append(np.arange(1, len(d) + 1, dtype=np.int32))
-                docs.append(d)
-                scores.append(s)
-            cat = lambda xs, dt: (  # noqa: E731
-                np.concatenate(xs) if xs else np.empty(0, dtype=dt)
-            )
-            return pa.table(
-                {
-                    "query_id": pa.array(qids, pa.string()),
-                    "rank": pa.array(cat(ranks, np.int32)),
-                    "doc_id": pa.array(cat(docs, np.int64), pa.int64()),
-                    "score": pa.array(cat(scores, np.float64), pa.float64()),
-                }
-            )
+    from .query import hits_table, sorted_hits
 
     items = pa.table(
         {
@@ -670,11 +641,39 @@ def batch_topk_sharded(
             "k": pa.array([int(q["k"]) for q in query_items], pa.int64()),
         }
     )
+    # one in-memory block per coordinator, made before the shard actors take
+    # their CPU share: from_arrow runs a metadata task per block, and a
+    # .repartition() would be a task stage, each needing a whole CPU
+    cuts = np.linspace(0, items.num_rows, max(concurrency, 1) + 1).astype(int)
+    queries_ds = ray.data.from_arrow(
+        [items.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+    )
+    shards = spawn_shard_pool(index_dir, n_shards=n_shards, num_cpus=shard_num_cpus)
+
+    class _Coordinator:
+        def __init__(self):
+            self.svc = ShardedQueryService(index_dir, shards=shards)
+
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            return sorted_hits(
+                [
+                    hits_table(
+                        qid,
+                        *self.svc.topk(
+                            text, int(k), conjunctive=conjunctive, rank_round=rank_round
+                        ),
+                    )
+                    for qid, text, k in zip(
+                        batch["query_id"].to_pylist(),
+                        batch["text"].to_pylist(),
+                        batch["k"].to_pylist(),
+                    )
+                ]
+            )
+
     try:
         blocks = ray.get(
-            ray.data.from_arrow(items)
-            .repartition(max(concurrency, 1))
-            .map_batches(
+            queries_ds.map_batches(
                 _Coordinator,
                 batch_format="pyarrow",
                 concurrency=(1, max(concurrency, 1)),
@@ -685,16 +684,4 @@ def batch_topk_sharded(
     finally:
         for s in shards:
             ray.kill(s)
-    live = [t for t in blocks if t.num_rows]
-    if not live:
-        return pa.table(
-            {
-                "query_id": pa.array([], pa.string()),
-                "rank": pa.array([], pa.int32()),
-                "doc_id": pa.array([], pa.int64()),
-                "score": pa.array([], pa.float64()),
-            }
-        )
-    return pa.concat_tables(live).sort_by(
-        [("query_id", "ascending"), ("rank", "ascending")]
-    )
+    return sorted_hits(blocks)

@@ -55,3 +55,44 @@ def test_actor_pool_pipelines_finish_on_one_cpu(tmp_path):
     assert res["planted_found"]
     assert res["resized"] == 20  # every third synthetic media row is an image
     assert res["frames"] > 0
+
+
+SHARDED_SCRIPT = r"""
+import json, sys
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False)
+ray.data.DataContext.get_current().enable_progress_bars = False
+from engine.build import build_index
+from engine.queries import QUERY_SET
+import pyarrow as pa
+from engine.query import Bm25Index
+from engine.serve import batch_topk_sharded
+from engine.synth import write_corpus
+
+corpus = write_corpus(sys.argv[1] + "/corpus", n_convs=100, seed=42, n_shards=4)
+idx = sys.argv[1] + "/index"
+build_index(corpus, idx, n_buckets=4, n_salts=2)
+got = batch_topk_sharded(QUERY_SET, idx, n_shards=2, concurrency=2,
+                         shard_num_cpus=0.25, coord_num_cpus=0.25)
+bm = Bm25Index(idx)
+want = pa.concat_tables(
+    [bm.topk_table(q["query_id"], q["text"], q["k"]) for q in QUERY_SET]
+).sort_by([("query_id", "ascending"), ("rank", "ascending")])
+print(json.dumps({"rows": got.num_rows, "equal": got.equals(want)}))
+"""
+
+
+def test_batch_topk_sharded_finishes_on_one_cpu(tmp_path):
+    """The coordinator pool reads in-memory blocks: no task stage waits for
+    the CPU that the fractional shard and coordinator actors hold."""
+    env = dict(os.environ, PYTHONPATH=REPO)
+    proc = subprocess.run(
+        [sys.executable, "-c", SHARDED_SCRIPT, str(tmp_path)],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert res["rows"] > 0
+    assert res["equal"]

@@ -1,7 +1,7 @@
 """Distributed batch evaluation over the sharded service (own module: the
 sharded-serving module fixture holds 3 full-CPU shard actors for its whole
-module lifetime, and Ray Data's repartition/read tasks need a full CPU — at
-the 4-CPU test budget the two cannot coexist; module isolation tears the
+module lifetime, and the replica batch path's actors need a full CPU each —
+at the 4-CPU test budget the two cannot coexist; module isolation tears the
 fixture down first)."""
 
 from engine.queries import QUERY_SET

@@ -2,11 +2,17 @@
 sf0.01, run its oracle_sql in DuckDB on the same parquet views, compare
 row-count + column names + order-insensitive value content.
 
+Each result line carries ``sha256=`` (the first 16 hex digits of the sha256
+of the canonical frame as CSV) and ``dtypes=`` (the engine result's column
+dtypes before canonicalization), so two runs compare with ``diff`` once the
+trailing ``(N.Ns)`` timings are stripped.
+
 Usage: python tools/check_parity.py [sf_dir] [only_entry ...]
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 import time
@@ -59,6 +65,13 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), ignore_index=True)
 
 
+def fingerprint(raw: pd.DataFrame, got: pd.DataFrame) -> str:
+    """Value hash of the canonical frame plus the engine-side dtypes."""
+    digest = hashlib.sha256(got.to_csv(index=False).encode()).hexdigest()[:16]
+    dtypes = ",".join(f"{c}:{raw[c].dtype}" for c in sorted(raw.columns))
+    return f"sha256={digest} dtypes={dtypes}"
+
+
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -85,30 +98,35 @@ def main():
             continue
         t0 = time.perf_counter()
         try:
-            got = canon(to_pandas(fn(sf_dir)))
+            raw = to_pandas(fn(sf_dir))
+            got = canon(raw)
         except Exception:
             print(f"[FAIL] {name}: engine raised")
             traceback.print_exc(limit=8)
             n_fail += 1
             continue
         dt = time.perf_counter() - t0
+        tag = fingerprint(raw, got)
         if name not in oracles:
-            print(f"[rows-only] {name}: {len(got)} rows, cols={list(got.columns)} ({dt:.1f}s)")
+            print(
+                f"[rows-only] {name}: {len(got)} rows, cols={list(got.columns)} "
+                f"{tag} ({dt:.1f}s)"
+            )
             n_pass += 1
             continue
         try:
             want = canon(con.sql(oracles[name]).df())
         except Exception:
-            print(f"[FAIL] {name}: oracle SQL raised")
+            print(f"[FAIL] {name}: oracle SQL raised {tag}")
             traceback.print_exc(limit=4)
             n_fail += 1
             continue
         ok = True
         if list(got.columns) != list(want.columns):
-            print(f"[FAIL] {name}: columns {list(got.columns)} vs {list(want.columns)}")
+            print(f"[FAIL] {name}: columns {list(got.columns)} vs {list(want.columns)} {tag}")
             ok = False
         elif len(got) != len(want):
-            print(f"[FAIL] {name}: rows {len(got)} vs {len(want)}")
+            print(f"[FAIL] {name}: rows {len(got)} vs {len(want)} {tag}")
             ok = False
         elif len(got) > 0 and [dtype_family(got[c].dtype) for c in got.columns] != [
             dtype_family(want[c].dtype) for c in want.columns
@@ -118,20 +136,20 @@ def main():
                 for c in got.columns
                 if dtype_family(got[c].dtype) != dtype_family(want[c].dtype)
             }
-            print(f"[FAIL] {name}: dtype family mismatch (engine, oracle): {mism}")
+            print(f"[FAIL] {name}: dtype family mismatch (engine, oracle): {mism} {tag}")
             ok = False
         else:
             try:
                 pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
             except AssertionError as e:
-                print(f"[FAIL] {name}: values differ: {str(e)[:400]}")
+                print(f"[FAIL] {name}: values differ {tag}: {str(e)[:400]}")
                 diff = (got != want) & ~(got.isna() & want.isna())
                 bad = diff.any(axis=1)
                 print("engine:", got[bad].head(4).to_string())
                 print("oracle:", want[bad].head(4).to_string())
                 ok = False
         if ok:
-            print(f"[ok] {name}: {len(got)} rows ({dt:.1f}s)")
+            print(f"[ok] {name}: {len(got)} rows {tag} ({dt:.1f}s)")
             n_pass += 1
         else:
             n_fail += 1
