@@ -279,8 +279,9 @@ def _cached_index(
     """The index cached as ``name`` for ``sf_dir``, made by ``build(path)``
     unless the file ``done`` is already there. A plain build resumes in place
     (build_index commits stats.json last); a multi-step lifecycle (merge,
-    remove, add) clears the directory first and writes its own ``done``
-    marker as its last step, so a run killed half way is redone, not
+    remove, add), or a build whose options an older cache may lack, clears
+    the directory first and writes its own ``done`` marker as its last step,
+    so a run killed half way, or left by older code, is redone, not
     served."""
     idx = _cache(sf_dir, name)
     if not os.path.exists(os.path.join(idx, done)):
@@ -544,15 +545,22 @@ def _transcripts_corpus(sf_dir: str) -> str:
 
 
 def _transcripts_index(sf_dir: str) -> str:
+    """The flagship transcripts index, with the role category and the ts
+    doc-values. Its marker is written only by a build that has both, so a
+    cache left by an older build without them is rebuilt, not served."""
+    import shutil
+
     from engine.build import build_index
 
-    return _cached_index(
-        sf_dir, "transcripts_index",
-        lambda idx: build_index(
+    def build(idx):
+        shutil.rmtree(idx, ignore_errors=True)
+        build_index(
             _transcripts_corpus(sf_dir), idx, n_buckets=16, n_salts=4,
             category_col="role", docvalues=["ts"],
-        ),
-    )
+        )
+        _mark_done(idx, "ROLE_TS_OK")
+
+    return _cached_index(sf_dir, "transcripts_index", build, done="ROLE_TS_OK")
 
 
 def _ts_midpoint(docmap_dir: str) -> pa.Scalar:

@@ -422,8 +422,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.field_range:
                 raise SystemExit("--range is single-reader only (no --sharded)")
             _ray()
-            import pyarrow as pa
-
             from .serve import ShardedQueryService
 
             svc = ShardedQueryService(args.index_dir, n_shards=args.sharded)
@@ -431,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
                 d, s = svc.topk(args.text, args.k, conjunctive=args.conjunctive)
             finally:
                 svc.shutdown()
-            tbl = hits_table("cli", d, s, rank_type=pa.int64())
+            tbl = hits_table("cli", d, s)
         else:
             fr = None
             if args.field_range:

@@ -2164,9 +2164,7 @@ class Bm25Index:
         return hits_table(query_id, doc, score)
 
 
-def hits_table(
-    query_id: str, doc, score, rank_type: pa.DataType = pa.int32()
-) -> pa.Table:
+def hits_table(query_id: str, doc, score) -> pa.Table:
     """One query's hits as a (query_id, rank, doc_id, score) table, rank
     1-based in the given order. ``hits_table("", [], [])`` is the empty
     hits table."""
@@ -2174,7 +2172,7 @@ def hits_table(
     return pa.table(
         {
             "query_id": pa.array([query_id] * n, pa.string()),
-            "rank": pa.array(np.arange(1, n + 1), rank_type),
+            "rank": pa.array(np.arange(1, n + 1), pa.int32()),
             "doc_id": pa.array(doc, pa.int64()),
             "score": pa.array(score, pa.float64()),
         }
@@ -2205,18 +2203,17 @@ class Bm25Queryer:
         self.conjunctive = conjunctive
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return sorted_hits(
-            [
-                self.index.topk_table(
-                    qid, text, int(k), rank_round=self.rank_round, conjunctive=self.conjunctive
-                )
-                for qid, text, k in zip(
-                    batch["query_id"].to_pylist(),
-                    batch["text"].to_pylist(),
-                    batch["k"].to_pylist(),
-                )
-            ]
-        )
+        tables = [
+            self.index.topk_table(
+                qid, text, int(k), rank_round=self.rank_round, conjunctive=self.conjunctive
+            )
+            for qid, text, k in zip(
+                batch["query_id"].to_pylist(),
+                batch["text"].to_pylist(),
+                batch["k"].to_pylist(),
+            )
+        ]
+        return pa.concat_tables(tables) if tables else hits_table("", [], [])
 
 
 def batch_topk(

@@ -655,21 +655,20 @@ def batch_topk_sharded(
             self.svc = ShardedQueryService(index_dir, shards=shards)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            return sorted_hits(
-                [
-                    hits_table(
-                        qid,
-                        *self.svc.topk(
-                            text, int(k), conjunctive=conjunctive, rank_round=rank_round
-                        ),
-                    )
-                    for qid, text, k in zip(
-                        batch["query_id"].to_pylist(),
-                        batch["text"].to_pylist(),
-                        batch["k"].to_pylist(),
-                    )
-                ]
-            )
+            tables = [
+                hits_table(
+                    qid,
+                    *self.svc.topk(
+                        text, int(k), conjunctive=conjunctive, rank_round=rank_round
+                    ),
+                )
+                for qid, text, k in zip(
+                    batch["query_id"].to_pylist(),
+                    batch["text"].to_pylist(),
+                    batch["k"].to_pylist(),
+                )
+            ]
+            return pa.concat_tables(tables) if tables else hits_table("", [], [])
 
     try:
         blocks = ray.get(
