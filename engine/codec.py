@@ -17,6 +17,7 @@ it must be fast on million-entry lists.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 _U64_7 = np.uint64(7)
 _U64_127 = np.uint64(0x7F)
@@ -139,6 +140,21 @@ class _PerValueStream:
         return self.decode(buf)
 
 
+def blob_buffers(blobs) -> tuple[np.ndarray, np.ndarray]:
+    """A ``pa.binary()`` column as ``(data, offsets)``: the uint8 bytes its blobs
+    tile and the int64 byte offset of each blob boundary (``offsets[0] ==
+    0``), read straight from the Arrow buffers with no per-blob copy."""
+    if isinstance(blobs, pa.ChunkedArray):
+        blobs = blobs.combine_chunks()
+    if len(blobs) == 0:
+        return np.empty(0, dtype=np.uint8), np.zeros(1, dtype=np.int64)
+    _, off_buf, data_buf = blobs.buffers()
+    offs = np.frombuffer(off_buf, dtype=np.int32)[blobs.offset : blobs.offset + len(blobs) + 1]
+    offs = offs.astype(np.int64)
+    data = np.frombuffer(data_buf, dtype=np.uint8)[offs[0] : offs[-1]]
+    return data, offs - offs[0]
+
+
 class VarintCodec(_PerValueStream):
     """Default posting-stream codec: unsigned LEB128 (see module docstring).
     The ColferCodec analog (CORE/io/codec/ColferCodec.java:118-133) —
@@ -154,6 +170,17 @@ class VarintCodec(_PerValueStream):
 
     def decode(self, buf: bytes) -> np.ndarray:
         return varint_decode(buf)
+
+    def decode_stream(self, blobs) -> tuple[np.ndarray, np.ndarray]:
+        """Mirror of ``encode_stream``: every blob of a binary column in ONE
+        decode of the column's data buffer (a varint never spans blobs).
+        Returns ``(values, counts)``; ``counts[g]`` is the number of values
+        that END in blob ``g`` (its terminal bytes), so a blob whose last
+        varint runs into the next blob shows up as a miscount."""
+        data, offs = blob_buffers(blobs)
+        done = np.zeros(len(data) + 1, dtype=np.int64)
+        np.cumsum((data & 0x80) == 0, out=done[1:])
+        return varint_decode(data), np.diff(done[offs])
 
 
 class Raw64Codec(_PerValueStream):
@@ -174,6 +201,15 @@ class Raw64Codec(_PerValueStream):
         if len(buf) % 8:
             raise ValueError("truncated raw64 stream")
         return np.frombuffer(buf, dtype="<u8").astype(np.uint64)
+
+    def decode_stream(self, blobs) -> tuple[np.ndarray, np.ndarray]:
+        """Mirror of ``encode_stream``: one decode of the column's data
+        buffer; ``(values, per-blob value counts)``."""
+        data, offs = blob_buffers(blobs)
+        sizes = np.diff(offs)
+        if (sizes % 8).any():
+            raise ValueError("truncated raw64 blob")
+        return self.decode(data), sizes // 8
 
 
 _BIT = np.arange(64, dtype=np.uint64)
@@ -264,6 +300,15 @@ class Pfor128Codec:
         return (bits << _BIT[:w]).sum(axis=1, dtype=np.uint64)
 
     # --- stream API ------------------------------------------------------
+    def decode_stream(self, blobs) -> tuple[np.ndarray, np.ndarray]:
+        """Mirror of ``encode_stream``: ``(values, per-blob value counts)``.
+        Blob by blob — each blob carries its own block header, so the blobs
+        do not concatenate into one decodable stream."""
+        data, offs = blob_buffers(blobs)
+        vals = [self.decode(data[offs[g] : offs[g + 1]]) for g in range(len(offs) - 1)]
+        counts = np.array([len(v) for v in vals], dtype=np.int64)
+        return (np.concatenate(vals) if vals else np.empty(0, dtype=np.uint64)), counts
+
     def encode_stream(self, values, group_starts, probe_rows=None, probe_gids=None):
         a = np.ascontiguousarray(values, dtype=np.uint64)
         n = a.size

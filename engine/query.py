@@ -552,24 +552,25 @@ class Bm25Index:
         return rank_topk(doc, score, k, rank_round)
 
     def _block_docs_tfs(self, run: dict, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decode ONE 128-doc block out of a run (independent random access).
-        Block byte-offsets were recorded by whatever codec wrote the run, so
-        slices decode with that same codec (the run dict carries its name)."""
+        """Decode ONE 128-doc block out of a ``run_blocks`` run (independent
+        random access). Block byte-offsets were recorded by the codec that
+        wrote the index, so slices decode with that same codec."""
         from .codec import get_codec
 
-        cdc = get_codec(run.get("codec"))
-        nb = len(run["last_doc"])
-        d1 = int(run["doc_off"][b])
-        d2 = int(run["doc_off"][b + 1]) if b + 1 < nb else len(run["doc_blob"])
-        t1 = int(run["tf_off"][b])
-        t2 = int(run["tf_off"][b + 1]) if b + 1 < nb else len(run["tf_blob"])
+        cdc = get_codec(self.reader.codec_name)
+        last, d_off, t_off = run["block_last_doc"], run["block_doc_off"], run["block_tf_off"]
+        nb = len(last)
+        d1 = int(d_off[b])
+        d2 = int(d_off[b + 1]) if b + 1 < nb else len(run["doc_ids_enc"])
+        t1 = int(t_off[b])
+        t2 = int(t_off[b + 1]) if b + 1 < nb else len(run["tfs_enc"])
         # block value count disambiguates the wire format for block codecs
         # (a full 128-block is bit-packed; a short tail is varint)
         n_vals = min(128, int(run["df"]) - b * 128)
-        deltas = cdc.decode_block(run["doc_blob"][d1:d2], n_vals).astype(np.int64)
-        base = 0 if b == 0 else int(run["last_doc"][b - 1])
+        deltas = cdc.decode_block(run["doc_ids_enc"][d1:d2], n_vals).astype(np.int64)
+        base = 0 if b == 0 else int(last[b - 1])
         docs = base + np.cumsum(deltas)
-        tfs = cdc.decode_block(run["tf_blob"][t1:t2], n_vals).astype(np.int64)
+        tfs = cdc.decode_block(run["tfs_enc"][t1:t2], n_vals).astype(np.int64)
         return docs, tfs
 
     def conjunctive_topk(
@@ -2126,7 +2127,7 @@ class Bm25Index:
             return cached
         docs_l, tfs_l = [], []
         for run in self.reader.run_blocks(term):
-            last = run["last_doc"]
+            last = run["block_last_doc"]
             if not len(last):
                 continue
             bidx = np.searchsorted(last, candidates, side="left")

@@ -15,6 +15,12 @@ of whole-array numpy/Arrow operations — sort, boundary detection, grouped
 delta, ONE varint encode over all deltas, reduceat for cf. No per-term
 Python loop.
 
+``decode_runs`` is its one inverse: any set of segment rows back to
+per-posting doc ids, tfs and positions, one codec ``decode_stream`` per
+payload column, with a typed error when a run's payload disagrees with its
+df. REMOVE and compaction (``decode_bucket``), the reader and the sharded
+coordinator's gathered view (``RunView``) all decode through it.
+
 Salted head terms (north-star skew handling) appear as multiple ``run`` rows
 per term; each run is internally doc-sorted and runs are disjoint, so the
 reader merges them with one concatenate+argsort per queried term.
@@ -25,12 +31,15 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from . import state
 from .codec import get_codec
 from .schema import BLOCK_SIZE, POSITIONAL_SEGMENT_SCHEMA, SEGMENT_SCHEMA
 
@@ -242,7 +251,8 @@ def encode_bucket(
 
 def decode_posting(doc_ids_enc: bytes, tfs_enc: bytes,
                    codec: str = "varint") -> tuple[np.ndarray, np.ndarray]:
-    """One run -> (sorted int64 docIDs, int64 tfs)."""
+    """One run -> (sorted int64 docIDs, int64 tfs): the one-run case of
+    :func:`decode_runs` for callers that hold a run's blobs but not its df."""
     cdc = get_codec(codec)
     deltas = cdc.decode(doc_ids_enc)
     doc_ids = np.cumsum(deltas.astype(np.int64))
@@ -250,38 +260,85 @@ def decode_posting(doc_ids_enc: bytes, tfs_enc: bytes,
     return doc_ids, tfs
 
 
-def decode_position_run(doc_blob: bytes, tf_blob: bytes, pos_blob: bytes,
-                        codec: str = "varint"):
-    """Decode one positional run: (docIDs, per-doc value bounds, absolute
-    positions). Within-doc position deltas are recovered with one cumsum
-    + one per-doc correction gather. Module-level so the scatter/gather
-    coordinator (serve._GatheredView) decodes shipped runs identically."""
-    d, t = decode_posting(doc_blob, tf_blob, codec=codec)
-    deltas = get_codec(codec).decode(pos_blob).astype(np.int64)
-    vb = np.zeros(len(d) + 1, dtype=np.int64)
-    np.cumsum(t, out=vb[1:])
-    c = np.cumsum(deltas)
-    corr = np.zeros(len(d), dtype=np.int64)
-    corr[1:] = c[vb[1:-1] - 1]  # cumsum just before each doc's first value
-    abs_pos = c - np.repeat(corr, t)
-    return d, vb, abs_pos
+class SegmentDecodeError(ValueError):
+    """A segment payload decoded to a value count that disagrees with its
+    row: ``df`` values for the doc-id and tf streams, the run's summed tf
+    for the position stream."""
 
 
-def resolve_positions(decoded, cand: np.ndarray) -> list[np.ndarray]:
-    """Per-candidate ascending position arrays over decoded runs (empty
-    array when the doc lacks the term)."""
-    empty = np.empty(0, dtype=np.int64)
-    out = [empty] * len(cand)
-    for d, vb, abs_pos in decoded:
-        if not len(d):
-            continue
-        pos = np.searchsorted(d, cand)
-        pos_c = np.minimum(pos, len(d) - 1)
-        hit = d[pos_c] == cand
-        for j in np.flatnonzero(hit):
-            r = int(pos_c[j])
-            out[j] = abs_pos[vb[r] : vb[r + 1]]
-    return out
+class DecodedRuns(NamedTuple):
+    """Per-posting columns of decoded segment rows, in row (run) order.
+    Posting ``i``'s positions are ``pos[bounds[i]:bounds[i + 1]]``; both
+    are None when the rows carry no ``pos_enc``."""
+
+    doc: np.ndarray
+    tf: np.ndarray
+    bounds: np.ndarray | None
+    pos: np.ndarray | None
+
+
+def _restart_cumsum(deltas: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Cumulative sum of ``deltas`` restarting at each of the consecutive
+    groups sized ``lengths`` (every group's first delta is absolute)."""
+    c = np.zeros(len(deltas) + 1, dtype=np.int64)
+    np.cumsum(deltas.astype(np.int64), out=c[1:])
+    return c[1:] - np.repeat(c[np.cumsum(lengths) - lengths], lengths)
+
+
+def _decode_column(cdc, rows: pa.Table, name: str, want: np.ndarray) -> np.ndarray:
+    """Every blob of one payload column, checked against its expected
+    value count per row."""
+    try:
+        vals, counts = cdc.decode_stream(rows[name])
+    except ValueError as e:
+        raise SegmentDecodeError(f"{name}: {e}") from e
+    bad = np.flatnonzero(counts != want)
+    if len(bad):
+        r = int(bad[0])
+        raise SegmentDecodeError(
+            f"{name} of row {r} decoded {int(counts[r])} values, expected {int(want[r])}"
+        )
+    return vals
+
+
+def decode_runs(rows: pa.Table, codec: str = "varint") -> DecodedRuns:
+    """The one posting decoder, ``encode_bucket``'s inverse over any segment
+    rows (``df``, ``doc_ids_enc``, ``tfs_enc`` and optionally ``pos_enc``):
+    each payload column is decoded by the codec's ``decode_stream``, doc ids
+    and positions come back from one cumulative sum each that restarts at
+    every run (doc ids) or posting (positions). A row whose payload holds
+    more or fewer values than its df (or summed tf) raises
+    :class:`SegmentDecodeError`, never shifts the rows after it."""
+    cdc = get_codec(codec)
+    df = np.asarray(rows["df"].to_numpy(), dtype=np.int64)
+    doc = _restart_cumsum(_decode_column(cdc, rows, "doc_ids_enc", df), df)
+    tf = _decode_column(cdc, rows, "tfs_enc", df).astype(np.int64)
+    if "pos_enc" not in rows.column_names:
+        return DecodedRuns(doc, tf, None, None)
+    bounds = np.zeros(len(tf) + 1, dtype=np.int64)
+    np.cumsum(tf, out=bounds[1:])
+    run_ends = np.cumsum(df)
+    pos_deltas = _decode_column(cdc, rows, "pos_enc", bounds[run_ends] - bounds[run_ends - df])
+    return DecodedRuns(doc, tf, bounds, _restart_cumsum(pos_deltas, tf))
+
+
+def decode_bucket(seg: pa.Table, codec: str = "varint") -> pa.Table:
+    """Segment rows -> the exploded ``(term, salt, doc_id, tf[, pos])`` rows
+    ``encode_bucket`` takes, each row's ``run`` as its ``salt``: so
+    ``encode_bucket(decode_bucket(seg))`` rewrites ``seg`` byte for byte."""
+    dec = decode_runs(seg, codec)
+    row_of = pa.array(np.repeat(np.arange(seg.num_rows), seg["df"].to_numpy()))
+    cols = {
+        "term": seg["term"].take(row_of),
+        "salt": seg["run"].take(row_of),
+        "doc_id": pa.array(dec.doc),
+        "tf": pa.array(dec.tf),
+    }
+    if dec.pos is not None:
+        cols["pos"] = pa.ListArray.from_arrays(
+            pa.array(dec.bounds.astype(np.int32)), pa.array(dec.pos.astype(np.int32))
+        )
+    return pa.table(cols)
 
 
 class SegmentReadError(RuntimeError):
@@ -294,7 +351,119 @@ class SegmentReadError(RuntimeError):
         self.path = path
 
 
-class SegmentReader:
+BLOCK_COLUMNS = ("doc_ids_enc", "tfs_enc", "block_last_doc", "block_doc_off", "block_tf_off")
+
+
+def empty_rows(columns: tuple[str, ...]) -> pa.Table:
+    """Zero segment rows with ``part``, ``row``, ``df`` and ``columns``."""
+    fields = [pa.field("part", pa.int64()), pa.field("row", pa.int64()), pa.field("df", pa.int64())]
+    fields += [POSITIONAL_SEGMENT_SCHEMA.field(n) for n in columns]
+    return pa.schema(fields).empty_table()
+
+
+class RunView:
+    """The decoding half of the read surface the scoring paths touch:
+    ``postings``, ``positions_lookup`` and ``run_blocks`` of a term, decoded
+    from the term's segment rows by :func:`decode_runs` and merged by doc id
+    (each subclass adds its own ``df``).
+    :class:`SegmentReader` reads the rows from the part files;
+    ``serve._GatheredView`` holds the rows that postings shards shipped.
+    Subclasses set ``codec_name`` and give ``term_rows(term, columns)``:
+    ``part``, ``row``, ``df`` and the named payload columns of every run of
+    the term, in ascending ``(part, row)`` order."""
+
+    def __init__(self):
+        # LRU of decoded postings, bounded by total decoded entries. Query
+        # actors are long-lived (T3 analog: the reader holds the mmap'd
+        # bundle); head terms dominate real workloads (Zipf), so caching the
+        # decoded arrays — not just the blob — removes the varint+merge cost
+        # from the hot path. ~16 bytes/entry -> default cap ~128 MB.
+        self._post_cache: "OrderedDict[str, tuple[np.ndarray, np.ndarray]]" = OrderedDict()
+        self._post_cache_entries = 0
+        # ~16 B/entry -> 64M entries ~ 1 GiB/actor; must exceed the working
+        # set of hot+query terms or the cache thrashes (measured: an 8M cap
+        # at a 3.3M-doc corpus re-decoded every head term per query)
+        self.post_cache_max_entries = 64_000_000
+        self._pos_cache: dict[str, tuple] = {}
+        self._blocks_cache: dict[str, list[dict]] = {}
+        # query-side serving metrics (the per-partition lineage metrics'
+        # read-path sibling): cheap int counters, read via
+        # Bm25Index.metrics() / QueryService.metrics()
+        self.metrics: dict[str, int] = {
+            "postings_cache_hits": 0,
+            "runs_decoded": 0,
+            "payload_column_reads": 0,
+            "parts_quarantined": 0,
+        }
+
+    def term_rows(self, term: str, columns: tuple[str, ...]) -> pa.Table:
+        raise NotImplementedError
+
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted docIDs, tfs); salted and delta runs are doc-disjoint and
+        merge by one stable argsort. Decoded results are LRU-cached (bounded
+        by entry count)."""
+        hit = self._post_cache.get(term)
+        if hit is not None:
+            self._post_cache.move_to_end(term)
+            self.metrics["postings_cache_hits"] += 1
+            return hit
+        rows = self.term_rows(term, ("doc_ids_enc", "tfs_enc"))
+        self.metrics["runs_decoded"] += rows.num_rows
+        dec = decode_runs(rows, self.codec_name)
+        out = (dec.doc, dec.tf)
+        if rows.num_rows > 1:
+            order = np.argsort(dec.doc, kind="stable")
+            out = (dec.doc[order], dec.tf[order])
+        self._post_cache[term] = out
+        self._post_cache_entries += len(out[0])
+        while self._post_cache_entries > self.post_cache_max_entries and len(self._post_cache) > 1:
+            _, (evicted, _tf) = self._post_cache.popitem(last=False)
+            self._post_cache_entries -= len(evicted)
+        return out
+
+    def positions_lookup(self, term: str, cand: np.ndarray) -> list[np.ndarray]:
+        """Per-candidate ascending position arrays of ``term`` (empty array
+        when the doc lacks it). Requires a positional index (``pos_enc``).
+        The term's positions are decoded once (cached per term); candidates
+        resolve by binary search into its doc-sorted postings."""
+        hit = self._pos_cache.get(term)
+        if hit is None:
+            dec = decode_runs(
+                self.term_rows(term, ("doc_ids_enc", "tfs_enc", "pos_enc")), self.codec_name
+            )
+            order = np.argsort(dec.doc, kind="stable")
+            hit = self._pos_cache[term] = (dec.doc[order], order, dec.bounds, dec.pos)
+        doc, order, bounds, pos = hit
+        cand = np.asarray(cand, dtype=np.int64)
+        out = [np.empty(0, dtype=np.int64)] * len(cand)
+        if not len(doc):
+            return out
+        at = np.minimum(np.searchsorted(doc, cand), len(doc) - 1)
+        for j in np.flatnonzero(doc[at] == cand):
+            r = int(order[at[j]])
+            out[j] = pos[bounds[r] : bounds[r + 1]]
+        return out
+
+    def run_blocks(self, term: str) -> list[dict]:
+        """Per-run block-level access for the conjunctive block probe: one
+        dict per run of ``term`` with its ``part``, ``row``, ``df`` and
+        ``BLOCK_COLUMNS``, the block lists as int64 arrays (each 128-doc
+        block's last doc id and byte offsets inside the run's blobs).
+        Blocks decode independently: doc deltas within a run cumsum from
+        the PREVIOUS block's last doc (run start cumsums from 0 because the
+        first delta is stored absolute). Cached per term — converting ~10^4
+        block entries out of Arrow per query costs more than the probe."""
+        hit = self._blocks_cache.get(term)
+        if hit is None:
+            hit = self._blocks_cache[term] = [
+                {**r, **{n: np.asarray(r[n], dtype=np.int64) for n in BLOCK_COLUMNS[2:]}}
+                for r in self.term_rows(term, BLOCK_COLUMNS).to_pylist()
+            ]
+        return hit
+
+
+class SegmentReader(RunView):
     """Read-side of the bundle (DefaultInvertedIndex.select analog, :307-320).
 
     Lazily loads one Arrow table per bucket file and keeps a term -> dictionary
@@ -323,6 +492,7 @@ class SegmentReader:
         self.verify_crc = (
             verify_crc if verify_crc is not None else read_error_strategy == "quarantine"
         )
+        super().__init__()
         self._quarantined: set[int] = set()
         with open(os.path.join(index_dir, "stats.json")) as f:
             self.stats = json.load(f)
@@ -332,7 +502,6 @@ class SegmentReader:
         # postings stream codec persisted at build time (InvertedIndexBackend
         # analog): a bundle is always decoded with the codec that wrote it
         self.codec_name = self.stats.get("postings_codec", "varint")
-        self.codec = get_codec(self.codec_name)
         # Column-lazy part access: the term->row index + df come from a
         # metadata-only parquet read; the binary payload columns (posting
         # blobs, block metadata, positions) are read per column on first use.
@@ -346,29 +515,6 @@ class SegmentReader:
         self._part_colnames: dict[int, list[str]] = {}
         self._col_cache: dict[tuple[int, str], pa.Array] = {}
         self._df_cache: dict[str, int] = {}
-        # LRU of decoded postings, bounded by total decoded entries. Query
-        # actors are long-lived (T3 analog: the reader holds the mmap'd
-        # bundle); head terms dominate real workloads (Zipf), so caching the
-        # decoded arrays — not just the blob — removes the varint+merge cost
-        # from the hot path. ~16 bytes/entry -> default cap ~128 MB.
-        from collections import OrderedDict
-
-        self._post_cache: "OrderedDict[str, tuple[np.ndarray, np.ndarray]]" = OrderedDict()
-        self._post_cache_entries = 0
-        # ~16 B/entry -> 64M entries ~ 1 GiB/actor; must exceed the working
-        # set of hot+query terms or the cache thrashes (measured: an 8M cap
-        # at a 3.3M-doc corpus re-decoded every head term per query)
-        self.post_cache_max_entries = 64_000_000
-        self._blocks_cache: dict[str, list[dict]] = {}
-        # query-side serving metrics (the per-partition lineage metrics'
-        # read-path sibling): cheap int counters, read via
-        # Bm25Index.metrics() / QueryService.metrics()
-        self.metrics: dict[str, int] = {
-            "postings_cache_hits": 0,
-            "runs_decoded": 0,
-            "payload_column_reads": 0,
-            "parts_quarantined": 0,
-        }
 
     def parts_of(self, term: str) -> list[int]:
         """Candidate part files for a term: 1 for cold, n_salts for hot."""
@@ -376,9 +522,6 @@ class SegmentReader:
         if term in self.hot_terms:
             return [b + s * self.n_buckets for s in range(self.n_salts)]
         return [b]
-
-    def _part_path(self, part: int) -> str:
-        return os.path.join(self.index_dir, f"segment-{part:05d}.parquet")
 
     def _mark_empty(self, part: int) -> None:
         self._term_code[part] = {}
@@ -389,7 +532,7 @@ class SegmentReader:
     def _read_error(self, part: int, reason: str) -> None:
         """THROW raises at query level; QUARANTINE marks the part dead (one
         warning) and the caller serves what remains."""
-        path = self._part_path(part)
+        path = state.segment_path(self.index_dir, part)
         if self.read_error_strategy == "throw":
             raise SegmentReadError(part, path, reason)
         import logging
@@ -406,13 +549,13 @@ class SegmentReader:
         """Full-payload CRC vs the part manifest at first open. Missing
         manifest (external/legacy index) = nothing to check. Returns False
         iff the part was rejected."""
-        mpath = os.path.join(self.index_dir, f"segment-{part:05d}.manifest.json")
+        mpath = state.manifest_path(self.index_dir, part)
         if not os.path.exists(mpath):
             return True
         try:
             with open(mpath) as f:
                 want = json.load(f).get("checksum")
-            with open(self._part_path(part), "rb") as f:
+            with open(state.segment_path(self.index_dir, part), "rb") as f:
                 got = zlib.crc32(f.read())
         except (OSError, json.JSONDecodeError) as e:
             self._read_error(part, f"manifest/payload unreadable: {e}")
@@ -428,7 +571,7 @@ class SegmentReader:
         offset-TSV analog) — never the payload blobs."""
         if part in self._term_code:
             return
-        path = self._part_path(part)
+        path = state.segment_path(self.index_dir, part)
         if not os.path.exists(path):
             self._mark_empty(part)
             return
@@ -442,18 +585,11 @@ class SegmentReader:
             return
         self._part_df[part] = meta["df"].to_numpy(zero_copy_only=False).astype(np.int64)
         # a query looks up a handful of terms, so only the distinct terms get
-        # a dict entry; a term's rows are found on lookup (``_rows``)
+        # a dict entry; a term's rows are found on lookup (``_runs``)
         dic = meta["term"].combine_chunks().dictionary_encode()
         self._part_codes[part] = dic.indices.to_numpy(zero_copy_only=False)
         terms = dic.dictionary.to_pylist()
         self._term_code[part] = dict(zip(terms, range(len(terms))))
-
-    def _rows(self, part: int, term: str) -> list[int]:
-        """Ascending rows of ``term``'s runs in a loaded part."""
-        c = self._term_code[part].get(term)
-        if c is None:
-            return []
-        return np.flatnonzero(self._part_codes[part] == c).tolist()
 
     def _cols(self, part: int, names: tuple[str, ...]) -> dict[str, pa.Array]:
         """Lazy payload columns of one part; all misses read in ONE parquet
@@ -461,7 +597,7 @@ class SegmentReader:
         missing = [n for n in names if (part, n) not in self._col_cache]
         if missing:
             self.metrics["payload_column_reads"] += len(missing)
-            path = self._part_path(part)
+            path = state.segment_path(self.index_dir, part)
             if not os.path.exists(path) or part in self._quarantined:
                 for n in missing:
                     self._col_cache[(part, n)] = pa.array([], pa.binary())
@@ -478,183 +614,48 @@ class SegmentReader:
                     )
         return {n: self._col_cache[(part, n)] for n in names}
 
-    def _runs(self, term: str) -> list[tuple[int, int]]:
-        """(part, row) coordinates of every run of ``term``."""
+    def _runs(self, term: str, parts=None) -> list[tuple[int, np.ndarray]]:
+        """(part, ascending rows) of each part that holds a run of ``term``,
+        optionally limited to ``parts`` (a postings shard's own)."""
         out = []
         for p in self.parts_of(term):
+            if parts is not None and p not in parts:
+                continue
             self._load_meta(p)
-            out.extend((p, i) for i in self._rows(p, term))
+            c = self._term_code[p].get(term)
+            if c is not None:
+                out.append((p, np.flatnonzero(self._part_codes[p] == c)))
         return out
 
     def df(self, term: str) -> int:
+        """From the metadata alone: no payload column is read."""
         if term not in self._df_cache:
-            self._df_cache[term] = int(
-                sum(self._part_df[p][i] for p, i in self._runs(term))
-            )
+            self._df_cache[term] = int(sum(self._part_df[p][rows].sum() for p, rows in self._runs(term)))
         return self._df_cache[term]
 
-    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted docIDs, tfs); salted runs merged by concat + argsort.
-
-        Decoded results are LRU-cached (bounded by entry count)."""
-        hit = self._post_cache.get(term)
-        if hit is not None:
-            self._post_cache.move_to_end(term)
-            self.metrics["postings_cache_hits"] += 1
-            return hit
-        runs = self._runs(term)
-        self.metrics["runs_decoded"] += len(runs)
-        if not runs:
-            out = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        else:
-            parts = []
-            for p, i in runs:
-                c = self._cols(p, ("doc_ids_enc", "tfs_enc"))
-                if p in self._quarantined:  # payload died after meta load
-                    continue
-                parts.append(
-                    decode_posting(
-                        c["doc_ids_enc"][i].as_py(), c["tfs_enc"][i].as_py(),
-                        codec=self.codec_name,
-                    )
-                )
-            if not parts:
-                out = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-            elif len(parts) == 1:
-                out = parts[0]
-            else:
-                doc = np.concatenate([p[0] for p in parts])
-                tf = np.concatenate([p[1] for p in parts])
-                order = np.argsort(doc, kind="stable")
-                out = (doc[order], tf[order])
-        self._post_cache[term] = out
-        self._post_cache_entries += len(out[0])
-        while self._post_cache_entries > self.post_cache_max_entries and len(self._post_cache) > 1:
-            _, (evicted, _tf) = self._post_cache.popitem(last=False)
-            self._post_cache_entries -= len(evicted)
-        return out
-
-    def run_blocks(self, term: str) -> list[dict]:
-        """Per-run block-level access for the conjunctive block probe.
-
-        Each run dict: ``doc_blob``/``tf_blob`` (bytes), ``last_doc`` (np
-        array, one entry per 128-doc block), ``doc_off``/``tf_off`` (byte
-        offset of each block inside the run blob), ``df``.
-        Blocks are decodable independently: doc deltas within a run cumsum
-        from the PREVIOUS block's ``last_doc`` (run start cumsums from 0
-        because the first delta is stored absolute). Metadata arrays are
-        cached per term — converting ~10^4 block entries out of Arrow per
-        query costs more than the block probe itself."""
-        hit = self._blocks_cache.get(term)
-        if hit is not None:
-            return hit
-        out = []
-        for p, i in self._runs(term):
-            c = self._cols(
-                p,
-                (
-                    "doc_ids_enc",
-                    "tfs_enc",
-                    "block_last_doc",
-                    "block_doc_off",
-                    "block_tf_off",
-                ),
-            )
+    def term_rows(self, term: str, columns: tuple[str, ...], parts=None) -> pa.Table:
+        """``part``, ``row``, ``df`` and the ``columns`` payload of every run
+        of ``term``, optionally limited to ``parts``. Quarantined parts drop
+        out; a ``pos_enc`` read of a non-positional part raises."""
+        tables = []
+        for p, rows in self._runs(term, parts):
+            if "pos_enc" in columns and "pos_enc" not in self._part_colnames[p]:
+                raise ValueError("positional reads require an index built with positions=True")
+            c = self._cols(p, columns)
             if p in self._quarantined:  # payload died after meta load
                 continue
-            out.append(
-                {
-                    "doc_blob": c["doc_ids_enc"][i].as_py(),
-                    "tf_blob": c["tfs_enc"][i].as_py(),
-                    "last_doc": np.asarray(c["block_last_doc"][i].as_py(), dtype=np.int64),
-                    "doc_off": np.asarray(c["block_doc_off"][i].as_py(), dtype=np.int64),
-                    "tf_off": np.asarray(c["block_tf_off"][i].as_py(), dtype=np.int64),
-                    "df": int(self._part_df[p][i]),
-                    "codec": self.codec_name,
-                }
-            )
-        self._blocks_cache[term] = out
-        return out
-
-    def positions_lookup(self, term: str, cand: np.ndarray) -> list[np.ndarray]:
-        """Per-candidate ascending position arrays of ``term`` (empty array
-        when the doc lacks it). Requires a positional index (``pos_enc``).
-
-        Decodes each run's position stream ONCE (cached per term): absolute
-        positions recovered from within-doc deltas with one cumsum + one
-        per-doc correction gather; candidates then resolve by binary search
-        into the run's docID array."""
-        cache = getattr(self, "_pos_cache", None)
-        if cache is None:
-            cache = self._pos_cache = {}
-        decoded = cache.get(term)
-        if decoded is None:
-            decoded = []
-            for p, i in self._runs(term):
-                if "pos_enc" not in self._part_colnames[p]:
-                    raise ValueError(
-                        "positions_lookup requires an index built with positions=True"
-                    )
-                c = self._cols(p, ("doc_ids_enc", "tfs_enc", "pos_enc"))
-                decoded.append(
-                    decode_position_run(
-                        c["doc_ids_enc"][i].as_py(),
-                        c["tfs_enc"][i].as_py(),
-                        c["pos_enc"][i].as_py(),
-                        codec=self.codec_name,
-                    )
-                )
-            cache[term] = decoded
-        return resolve_positions(decoded, cand)
-
-    def run_payloads(self, term: str, parts=None, positions: bool = False) -> list[dict]:
-        """``run_blocks`` entries tagged with their ``(part, row)`` coordinate,
-        optionally restricted to a subset of parts — the unit a postings-shard
-        actor ships to the scatter/gather coordinator (engine.serve sharded
-        mode). Uncached: shard actors serve many terms once per query; the
-        coordinator's gathered view does its own per-query reuse.
-
-        ``positions=True`` additionally ships each run's ``pos_enc`` blob
-        (phrase / highlight queries); plain scoring fetches must not pay the
-        position-stream bytes, so it is opt-in per fetch. Raises if requested
-        on a non-positional index."""
-        owned = None if parts is None else set(parts)
-        out = []
-        for p in self.parts_of(term):
-            if owned is not None and p not in owned:
-                continue
-            self._load_meta(p)
-            if positions and self._term_code[p] and "pos_enc" not in self._part_colnames[p]:
-                raise ValueError(
-                    "run_payloads(positions=True) requires an index built with positions=True"
-                )
-            for i in self._rows(p, term):
-                c = self._cols(
-                    p,
-                    (
-                        "doc_ids_enc",
-                        "tfs_enc",
-                        "block_last_doc",
-                        "block_doc_off",
-                        "block_tf_off",
-                    )
-                    + (("pos_enc",) if positions else ()),
-                )
-                out.append(
+            at = pa.array(rows, pa.int64())
+            tables.append(
+                pa.table(
                     {
-                        "part": p,
-                        "row": i,
-                        "doc_blob": c["doc_ids_enc"][i].as_py(),
-                        "tf_blob": c["tfs_enc"][i].as_py(),
-                        **({"pos_blob": c["pos_enc"][i].as_py()} if positions else {}),
-                        "last_doc": np.asarray(c["block_last_doc"][i].as_py(), dtype=np.int64),
-                        "doc_off": np.asarray(c["block_doc_off"][i].as_py(), dtype=np.int64),
-                        "tf_off": np.asarray(c["block_tf_off"][i].as_py(), dtype=np.int64),
-                        "df": int(self._part_df[p][i]),
-                        "codec": self.codec_name,
+                        "part": np.full(len(rows), p, dtype=np.int64),
+                        "row": at,
+                        "df": self._part_df[p][rows],
+                        **{n: c[n].take(at) for n in columns},
                     }
                 )
-        return out
+            )
+        return pa.concat_tables(tables) if tables else empty_rows(columns)
 
     def vocab_df(self) -> "pa.Table":
         """(term, df, cf) over the whole index — metadata-only columnar read

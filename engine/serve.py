@@ -32,6 +32,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from .segments import BLOCK_COLUMNS, RunView, SegmentReader, empty_rows
+
 
 class ShardUnavailable(Exception):
     """Every replica of a postings shard failed for one call — the query
@@ -128,21 +130,21 @@ class _ShardActor:
 
     def __init__(self, index_dir: str, parts: list[int],
                  read_error_strategy: str = "throw"):
-        from .segments import SegmentReader
-
         self.reader = SegmentReader(index_dir, read_error_strategy=read_error_strategy)
-        self.parts = sorted(parts)
+        self.parts = frozenset(parts)
         self._vocab: set[str] | None = None
         self._del_idx: dict[str, set[str]] | None = None
 
-    def fetch(self, terms: list[str], positions: bool = False) -> dict[str, list[dict]]:
-        """All runs of the given terms that live in this shard's parts.
-        ``positions=True`` ships the position streams too (phrase mode)."""
+    def fetch(self, terms: list[str], positions: bool = False) -> dict[str, pa.Table]:
+        """The segment rows (block columns, plus ``pos_enc`` when
+        ``positions=True``: phrase mode) of every given term that has runs
+        in this shard's parts."""
+        cols = BLOCK_COLUMNS + (("pos_enc",) if positions else ())
         out = {}
         for t in terms:
-            runs = self.reader.run_payloads(t, self.parts, positions=positions)
-            if runs:
-                out[t] = runs
+            rows = self.reader.term_rows(t, cols, self.parts)
+            if rows.num_rows:
+                out[t] = rows
         return out
 
     def _shard_vocab(self) -> set[str]:
@@ -180,71 +182,34 @@ class _ShardActor:
         return out
 
 
-class _GatheredView:
-    """Reader facade over scatter/gathered term runs. Implements exactly the
-    SegmentReader surface the scoring paths touch (df / postings /
-    run_blocks), with the same run ordering and merge discipline, so every
-    Bm25Index query path produces bit-identical output over it."""
+class _GatheredView(RunView):
+    """Reader facade over the term rows the postings shards shipped: the
+    :class:`~engine.segments.RunView` surface (postings / positions_lookup /
+    run_blocks) plus ``df``, over the rows in the single reader's ascending
+    ``(part, row)`` order, so every Bm25Index query path produces
+    bit-identical output over it."""
 
-    def __init__(self, runs_by_term: dict[str, list[dict]]):
-        # global run order = ascending (part, row): identical to
-        # SegmentReader._runs (parts_of ascending, rows ascending)
-        self._runs = {
-            t: sorted(rs, key=lambda r: (r["part"], r["row"]))
-            for t, rs in runs_by_term.items()
+    def __init__(self, rows_by_term: dict[str, list[pa.Table]], codec_name: str):
+        super().__init__()
+        self.codec_name = codec_name
+        self._rows = {
+            t: pa.concat_tables(ts).sort_by([("part", "ascending"), ("row", "ascending")])
+            for t, ts in rows_by_term.items()
         }
-        self._post_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def df(self, term: str) -> int:
-        return sum(r["df"] for r in self._runs.get(term, ()))
+        return int(np.sum(self.term_rows(term, ())["df"].to_numpy()))
 
-    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        hit = self._post_cache.get(term)
-        if hit is not None:
-            return hit
-        from .segments import decode_posting
-
-        runs = self._runs.get(term, ())
-        if not runs:
-            out = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        else:
-            parts = [decode_posting(r["doc_blob"], r["tf_blob"], codec=r.get("codec", "varint")) for r in runs]
-            if len(parts) == 1:
-                out = parts[0]
-            else:
-                doc = np.concatenate([p[0] for p in parts])
-                tf = np.concatenate([p[1] for p in parts])
-                order = np.argsort(doc, kind="stable")
-                out = (doc[order], tf[order])
-        self._post_cache[term] = out
-        return out
-
-    def run_blocks(self, term: str) -> list[dict]:
-        return self._runs.get(term, [])
-
-    def positions_lookup(self, term: str, cand):
-        """Same decode as SegmentReader.positions_lookup over the SHIPPED
-        position streams (pos_blob present only on positions=True fetches).
-        Run order matches the single reader's, so results are identical."""
-        from .segments import decode_position_run, resolve_positions
-
-        cache = getattr(self, "_posdec_cache", None)
-        if cache is None:
-            cache = self._posdec_cache = {}
-        decoded = cache.get(term)
-        if decoded is None:
-            runs = self._runs.get(term, ())
-            if any("pos_blob" not in r for r in runs):
-                raise ValueError(
-                    "positions_lookup over a gathered view requires a "
-                    "positions=True fetch on a positional index"
-                )
-            decoded = [
-                decode_position_run(r["doc_blob"], r["tf_blob"], r["pos_blob"], codec=r.get("codec", "varint"))
-                for r in runs
-            ]
-            cache[term] = decoded
-        return resolve_positions(decoded, np.asarray(cand, dtype=np.int64))
+    def term_rows(self, term: str, columns: tuple[str, ...]) -> pa.Table:
+        rows = self._rows.get(term)
+        if rows is None:
+            return empty_rows(columns)
+        if any(n not in rows.column_names for n in columns):
+            raise ValueError(
+                "positions_lookup over a gathered view requires a "
+                "positions=True fetch on a positional index"
+            )
+        return rows.select(["part", "row", "df", *columns])
 
 
 class ShardedQueryService:
@@ -413,12 +378,12 @@ class ShardedQueryService:
         docmap arrays + global stats; holds only these terms' runs)."""
         calls = self._scatter(terms, positions=positions)
         fetched = self._scatter_calls(calls, timeout_s)
-        runs_by_term: dict[str, list[dict]] = {}
-        for part_map in fetched:
-            for t, rs in part_map.items():
-                runs_by_term.setdefault(t, []).extend(rs)
+        rows_by_term: dict[str, list[pa.Table]] = {}
+        for shard_rows in fetched:
+            for t, rows in shard_rows.items():
+                rows_by_term.setdefault(t, []).append(rows)
         bm = copy.copy(self._bm)
-        bm.reader = _GatheredView(runs_by_term)
+        bm.reader = _GatheredView(rows_by_term, self._bm.reader.codec_name)
         return bm
 
     def replica_metrics(self) -> dict:

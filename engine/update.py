@@ -11,12 +11,14 @@ Semantics mirror the reference's delta planning:
   already merges a term's runs by concat+argsort, so queries see deltas with
   no reader changes (the concat-onto-existing-bucket merge of
   DefaultInvertedIndex.java:197-231, without decoding the existing bucket).
-- REMOVE: every part is decoded and filtered (parallel Ray tasks, one per
-  part); only the parts that held a removed doc are re-encoded and
-  rewritten, the others stay byte-for-byte as they were. The doc_ids are
-  dropped from the docmap.
-- COMPACT: decode + re-encode every part, collapsing delta runs back to
-  canonical salt runs.
+- REMOVE: one Ray task per part reads the part, decodes all its runs at
+  once (``segments.decode_bucket``, the inverse of ``encode_bucket``),
+  drops the removed doc_ids and re-encodes; only the parts that held a
+  removed doc are rewritten, the others stay byte-for-byte as they were.
+  The doc_ids are dropped from the docmap.
+- COMPACT: the same decode and re-encode of every part, with each run id
+  folded to ``run % n_salts`` so delta runs collapse back into canonical
+  salt runs.
 
 DocID minting for ADD follows the reference (next free index,
 DefaultStructureIndexProvider.java:115-122): new docs get ids above the
@@ -53,7 +55,7 @@ from .docmap import (
 )
 from .exchange import exchange
 from .schema import POSITIONAL_SEGMENT_SCHEMA, SEGMENT_SCHEMA
-from .segments import decode_position_run, decode_posting, encode_bucket
+from .segments import decode_bucket, encode_bucket
 from .tokenize import doc_length_batch, hash64_text, hash_scheme, tokenize_batch
 
 
@@ -334,72 +336,37 @@ def add_documents(
 def _reencode_part(
     index_dir: str,
     part: int,
-    remove_ids: np.ndarray | None,
-    collapse_runs: bool = False,
-    n_salts: int = 1,
-    codec: str = "varint",
+    codec: str,
+    remove_ids: np.ndarray | None = None,
+    n_salts: int | None = None,
 ) -> bool:
-    """Decode one part -> exploded rows -> (filter) -> encode -> rewrite.
-    A removal that hits no doc of the part leaves it untouched; a part left
-    with no postings is deleted. Returns whether the part changed."""
+    """Read one part, decode it (``decode_bucket``), drop the postings of
+    ``remove_ids`` (REMOVE) or fold every run to ``run % n_salts``
+    (compact), re-encode and commit it. A removal that hits no doc of the
+    part leaves it untouched; a part left with no postings is deleted.
+    Returns whether the part changed."""
     path = state.segment_path(index_dir, part)
     if not os.path.exists(path):
         return False
-    tbl = pq.read_table(path)
-    # bulk column conversion once (vs per-row .as_py() — ~3x on wide parts)
-    docs_enc = tbl["doc_ids_enc"].to_pylist()
-    tfs_enc = tbl["tfs_enc"].to_pylist()
-    has_pos = "pos_enc" in tbl.column_names
-    pos_enc_l = tbl["pos_enc"].to_pylist() if has_pos else None
-    changed = collapse_runs
-    rows, docs, tfs, pos_vals = [], [], [], []  # per run that keeps a posting
-    for i in range(tbl.num_rows):
-        if has_pos:
-            d, vb, abs_pos = decode_position_run(docs_enc[i], tfs_enc[i], pos_enc_l[i], codec=codec)
-            t = np.diff(vb)
-        else:
-            d, t = decode_posting(docs_enc[i], tfs_enc[i], codec=codec)
-        if remove_ids is not None and len(d):
-            keep = ~np.isin(d, remove_ids, assume_unique=True)
-            if not keep.all():
-                changed = True
-                if has_pos:
-                    abs_pos = abs_pos[np.repeat(keep, t)]
-                d, t = d[keep], t[keep]
-        if not len(d):
-            continue
-        rows.append(i)
-        docs.append(d)
-        tfs.append(t)
-        if has_pos:
-            pos_vals.append(abs_pos)
-    if not changed:
-        return False
-    if not docs:
+    rows = decode_bucket(_read_segment(path), codec)
+    if remove_ids is not None:
+        keep = ~np.isin(rows["doc_id"].to_numpy(), remove_ids)
+        if keep.all():
+            return False
+        rows = rows.filter(pa.array(keep))
+    if n_salts is not None:
+        salt = rows["salt"].to_numpy() % n_salts
+        rows = rows.set_column(rows.schema.get_field_index("salt"), "salt", pa.array(salt))
+    if rows.num_rows == 0:
         os.remove(path)
         mp = state.manifest_path(index_dir, part)
         if os.path.exists(mp):
             os.remove(mp)
         return True
-    row_of = np.repeat(rows, [len(d) for d in docs])
-    run = tbl["run"].to_numpy(zero_copy_only=False)[row_of]
-    cols = {
-        "term": tbl["term"].take(pa.array(row_of)),
-        "salt": pa.array(run % n_salts if collapse_runs else run, pa.int32()),
-        "doc_id": pa.array(np.concatenate(docs), pa.int64()),
-        "tf": pa.array(np.concatenate(tfs).astype(np.int32)),
-    }
-    if has_pos:
-        counts = np.concatenate(tfs)
-        offs = np.zeros(len(counts) + 1, dtype=np.int32)
-        np.cumsum(counts, out=offs[1:])
-        cols["pos"] = pa.ListArray.from_arrays(
-            pa.array(offs), pa.array(np.concatenate(pos_vals).astype(np.int32), pa.int32())
-        )
-    # collapsed runs may merge docs of the same (term, salt): encode_bucket
-    # requires strictly ascending docs per group, which holds because runs
-    # are doc-disjoint and docs are unique per term
-    state.commit_segment(index_dir, part, encode_bucket(pa.table(cols), codec=codec))
+    # folded runs merge docs of one (term, salt): encode_bucket requires
+    # them unique per group, which holds because a term's runs are
+    # doc-disjoint
+    state.commit_segment(index_dir, part, encode_bucket(rows, codec=codec))
     return True
 
 
@@ -439,9 +406,10 @@ def _recover_docmap_swap(ddir: str) -> None:
 
 
 def _purge_doc_ids(index_dir: str, remove: np.ndarray, codec: str = "varint") -> int:
-    """Mask the given doc_ids out of every posting (ONE RAY TASK PER PART —
-    the decode->filter->re-encode work is embarrassingly parallel across
-    bucket files) and drop them from the docmap (consolidated rewrite).
+    """Mask the given doc_ids out of every posting (ONE RAY TASK PER PART,
+    each a whole-part decode -> filter -> ``encode_bucket`` ->
+    ``commit_segment``, see ``_reencode_part``) and drop them from the
+    docmap (consolidated rewrite).
     Returns the number of parts that lost a posting (rewritten or deleted);
     the other parts are left as they were."""
     ddir = _docmap_dir(index_dir)
@@ -450,7 +418,7 @@ def _purge_doc_ids(index_dir: str, remove: np.ndarray, codec: str = "varint") ->
     rref = ray.put(remove)  # O(removal) driver state only
     parts = sorted(state.committed_parts(index_dir))
     results = ray.get(
-        [_reencode_part_remote.remote(index_dir, p, rref, codec=codec) for p in parts]
+        [_reencode_part_remote.remote(index_dir, p, codec, remove_ids=rref) for p in parts]
     )
 
     # rewrite docmap STREAMING (delta dirs folded in): Ray Data filter pass
@@ -565,8 +533,7 @@ def compact_index(index_dir: str) -> dict:
     ray.get(
         [
             _reencode_part_remote.remote(
-                index_dir, p, None, collapse_runs=True,
-                n_salts=n_salts, codec=stats.get("postings_codec", "varint")
+                index_dir, p, stats.get("postings_codec", "varint"), n_salts=n_salts
             )
             for p in sorted(state.committed_parts(index_dir))
         ]

@@ -1,9 +1,29 @@
+import contextlib
 import os
+import signal
+import subprocess
 import sys
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def run_isolated(args: list[str], timeout: float, **kwargs) -> subprocess.CompletedProcess:
+    """``subprocess.run(args, capture_output=True, text=True)`` in a new
+    session, killing the child's whole process group when it returns or
+    times out: the raylet, agents and workers that ``ray.init`` starts share
+    the child's group, and killing only the child on a timeout leaves them
+    running."""
+    proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True, **kwargs)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    return subprocess.CompletedProcess(args, proc.returncode, out, err)
 
 
 @pytest.fixture(scope="session")

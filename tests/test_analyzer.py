@@ -381,7 +381,7 @@ def test_stemmed_positional_phrase_and_sharded(ray_session, tmp_path):
     d, _n = bm.phrase_match("tables hold")
     assert sorted(np.asarray(d).tolist()) == [0, 2]
 
-    svc = ShardedQueryService(idx, n_shards=2)
+    svc = ShardedQueryService(idx, n_shards=2, num_cpus=0.25)
     try:
         d1, s1 = bm.topk("tables holds", k=10)
         d2, s2 = svc.topk("tables holds", k=10)

@@ -3,7 +3,6 @@ snapshot over dense, sparse and overlapping file layouts, all read in
 process; and a reader opened in a process that never starts Ray."""
 
 import os
-import subprocess
 import sys
 
 import numpy as np
@@ -11,6 +10,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import run_isolated
 from engine.docmap import docmap_files, docmap_stats, read_doc_lengths, read_known_keys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -168,9 +168,7 @@ def test_reader_opens_and_queries_without_ray(ray_session, tiny_index, tmp_path)
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("RAY_")}
     env["PYTHONPATH"] = REPO
-    out = subprocess.run(
-        [sys.executable, "-c", _NO_RAY_READER, tiny_index, sparse],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    out = run_isolated([sys.executable, "-c", _NO_RAY_READER, tiny_index, sparse],
+                       timeout=300, env=env)
     assert out.returncode == 0, out.stderr[-3000:]
     assert out.stdout.strip().endswith("ray initialized: False"), out.stdout

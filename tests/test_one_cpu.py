@@ -2,13 +2,15 @@
 Ray session. A pool actor that holds the only CPU while an unfused upstream
 or downstream task stage waits for one hangs the streaming executor with no
 error, so each pipeline runs in a fresh ``num_cpus=1`` session in a
-subprocess under a timeout.
+subprocess under a timeout (``run_isolated``: a timeout kills Ray's
+processes too, not just the child).
 """
 
 import json
 import os
-import subprocess
 import sys
+
+from conftest import run_isolated
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -46,10 +48,8 @@ print(json.dumps({
 
 def test_actor_pool_pipelines_finish_on_one_cpu(tmp_path):
     env = dict(os.environ, PYTHONPATH=REPO)
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path)],
-        cwd=REPO, env=env, capture_output=True, text=True, timeout=150,
-    )
+    proc = run_isolated([sys.executable, "-c", SCRIPT, str(tmp_path)],
+                        timeout=150, cwd=REPO, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
     res = json.loads(proc.stdout.strip().splitlines()[-1])
     assert res["planted_found"]
@@ -88,10 +88,8 @@ def test_batch_topk_sharded_finishes_on_one_cpu(tmp_path):
     """The coordinator pool reads in-memory blocks: no task stage waits for
     the CPU that the fractional shard and coordinator actors hold."""
     env = dict(os.environ, PYTHONPATH=REPO)
-    proc = subprocess.run(
-        [sys.executable, "-c", SHARDED_SCRIPT, str(tmp_path)],
-        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_isolated([sys.executable, "-c", SHARDED_SCRIPT, str(tmp_path)],
+                        timeout=120, cwd=REPO, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
     res = json.loads(proc.stdout.strip().splitlines()[-1])
     assert res["rows"] > 0

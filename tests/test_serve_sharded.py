@@ -16,7 +16,10 @@ from engine.queries import QUERY_SET
 def sharded(ray_session, tiny_index):
     from engine.serve import ShardedQueryService
 
-    svc = ShardedQueryService(tiny_index, n_shards=3)
+    # fractional CPUs: full-CPU shard actors would pin 3 of the session's 4
+    # CPUs for the whole module, and an ADD below would then wait forever
+    # whenever an actor left by an earlier test still holds the fourth
+    svc = ShardedQueryService(tiny_index, n_shards=3, num_cpus=0.25)
     yield svc
     svc.shutdown()
 

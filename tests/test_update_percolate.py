@@ -276,7 +276,7 @@ def test_query_service_replicas_and_timeout(ray_session, tiny_index):
     from engine.query import Bm25Index
     from engine.serve import QueryService, QueryTimeout
 
-    svc = QueryService(tiny_index, n_replicas=2)
+    svc = QueryService(tiny_index, n_replicas=2, num_cpus=0.25)
     try:
         svc.warm(["zqmarker0"])
         bm = Bm25Index(tiny_index)
