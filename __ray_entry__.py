@@ -819,8 +819,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def bm25_topk_pfor(sf_dir):
         """bm25_topk over an index built with postings_codec="pfor" —
-        identical rankings through the block codec's decode_block entry
-        points (same oracle as bm25_topk)."""
+        identical rankings through the block codec's decode (same oracle
+        as bm25_topk)."""
         return _batch_hits(_documents_index_pfor(sf_dir), _items(DOC_QUERIES))
 
     def bm25_topk_stemmed(sf_dir):

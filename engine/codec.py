@@ -104,20 +104,16 @@ def varint_decode(buf: bytes) -> np.ndarray:
 class _PerValueStream:
     """Shared stream-level API for codecs whose wire format is a plain
     concatenation of independently-sized values (varint, raw64): a group's
-    blob is a contiguous slice of the flat encoding, and any value index is
-    a valid decode entry point. Block codecs (Pfor128) override both."""
+    blob is a contiguous slice of the flat encoding. Block codecs (Pfor128)
+    give their own ``encode_stream``."""
 
-    def encode_stream(self, values, group_starts, probe_rows=None, probe_gids=None):
+    def encode_stream(self, values, group_starts):
         """Encode ``values`` into per-group blobs.
 
-        Returns ``(flat: bytes, group_ends: int64[n_groups], probe_offs)``
-        where ``flat[group_ends[g-1]:group_ends[g]]`` is group ``g``'s blob
-        (self-describing: ``decode`` accepts it) and ``probe_offs[j]`` is the
-        byte offset INSIDE its group's blob where decoding may start at value
-        ``probe_rows[j]`` (callers guarantee probe rows are block-aligned
-        within their group for block codecs; any row is valid here).
-        ``probe_gids``: the group index of each probe row (callers already
-        have it; passing it avoids a searchsorted)."""
+        Returns ``(flat: bytes, group_ends: int64[n_groups], None)`` where
+        ``flat[group_ends[g-1]:group_ends[g]]`` is group ``g``'s blob
+        (self-describing: ``decode`` accepts it). The third element is
+        always None; it stays so that three-value unpacking keeps working."""
         values = np.ascontiguousarray(values, dtype=np.uint64)
         nb = self.nbytes(values)
         ends = np.cumsum(nb)
@@ -128,16 +124,7 @@ class _PerValueStream:
         # byte start of each group = byte start of its first value
         gb_starts = np.where(gs < n, ends[np.minimum(gs, n - 1)] - nb[np.minimum(gs, n - 1)], total) if n else np.zeros(len(gs), dtype=np.int64)
         group_ends = np.append(gb_starts[1:], total).astype(np.int64)
-        probe_offs = None
-        if probe_rows is not None:
-            pr = np.asarray(probe_rows, dtype=np.int64)
-            if probe_gids is None:
-                probe_gids = np.searchsorted(gs, pr, side="right") - 1
-            probe_offs = (ends[pr] - nb[pr]) - gb_starts[probe_gids]
-        return flat, group_ends, probe_offs
-
-    def decode_block(self, buf: bytes, n_values: int) -> np.ndarray:
-        return self.decode(buf)
+        return flat, group_ends, None
 
 
 def blob_buffers(blobs) -> tuple[np.ndarray, np.ndarray]:
@@ -236,11 +223,8 @@ class Pfor128Codec:
       F x [1 byte width b][16*b bytes of 128 values bit-packed LSB-first]
       [unsigned LEB128 varints for the < 128 tail values]
 
-    Every 128-aligned value index is a decode entry point (block starts),
-    which is exactly the alignment of the segment skip-pointer blocks
-    (schema.BLOCK_SIZE == 128): ``decode_block`` unpacks one FOR block
-    (n_values == 128) or the varint tail (n_values < 128). Encode and decode
-    are vectorized across blocks grouped by width — no per-value Python.
+    Encode and decode are vectorized across blocks grouped by width — no
+    per-value Python.
 
     Mirrors the second production backend of the reference
     (CORE/config/InvertedIndexBackend.java:10-18: COLFER | MESSAGE_PACK);
@@ -288,17 +272,6 @@ class Pfor128Codec:
         tail = varint_decode(b[p:].tobytes())
         return np.concatenate([out, tail]) if len(tail) else out
 
-    def decode_block(self, buf: bytes, n_values: int) -> np.ndarray:
-        if n_values != 128:
-            return varint_decode(buf)
-        b = np.frombuffer(buf, dtype=np.uint8)
-        w = int(b[0])
-        if w == 0:
-            return np.zeros(128, dtype=np.uint64)
-        bits = np.unpackbits(b[1 : 1 + 16 * w], bitorder="little")
-        bits = bits.reshape(128, w).astype(np.uint64)
-        return (bits << _BIT[:w]).sum(axis=1, dtype=np.uint64)
-
     # --- stream API ------------------------------------------------------
     def decode_stream(self, blobs) -> tuple[np.ndarray, np.ndarray]:
         """Mirror of ``encode_stream``: ``(values, per-blob value counts)``.
@@ -309,7 +282,9 @@ class Pfor128Codec:
         counts = np.array([len(v) for v in vals], dtype=np.int64)
         return (np.concatenate(vals) if vals else np.empty(0, dtype=np.uint64)), counts
 
-    def encode_stream(self, values, group_starts, probe_rows=None, probe_gids=None):
+    def encode_stream(self, values, group_starts):
+        """Per-group blobs in the wire format above; same return shape as
+        ``_PerValueStream.encode_stream`` (third element None)."""
         a = np.ascontiguousarray(values, dtype=np.uint64)
         n = a.size
         gs = np.asarray(group_starts, dtype=np.int64)
@@ -355,7 +330,6 @@ class Pfor128Codec:
             m = hdr_nb > k
             out[goff[:-1][m] + k] = hdr_flat[hdr_starts[m] + k]
         # block byte starts (within flat)
-        within_blk = np.zeros(0, dtype=np.int64)
         if nblocks:
             csz = np.cumsum(bsz)
             base = csz - bsz  # global exclusive prefix
@@ -391,27 +365,7 @@ class Pfor128Codec:
             for k in range(int(tv_nb.max(initial=0))):
                 m = tv_nb > k
                 out[tgt[m] + k] = tv_flat[tv_base[m] + k]
-        probe_offs = None
-        if probe_rows is not None:
-            pr = np.asarray(probe_rows, dtype=np.int64)
-            if probe_gids is None:
-                probe_gids = np.searchsorted(gs, pr, side="right") - 1
-            pg = np.asarray(probe_gids, dtype=np.int64)
-            pw = pr - gs[pg]
-            if len(pw) and (pw & 127).any():
-                raise ValueError("pfor probe rows must be 128-aligned within their group")
-            j = pw >> 7
-            probe_offs = np.where(
-                j < nfull[pg],
-                hdr_nb[pg]
-                + (
-                    within_blk[np.minimum(bofs[pg] + j, max(nblocks - 1, 0))]
-                    if nblocks
-                    else 0
-                ),
-                hdr_nb[pg] + blk_bytes[pg],
-            ).astype(np.int64)
-        return out.tobytes(), goff[1:].copy(), probe_offs
+        return out.tobytes(), goff[1:].copy(), None
 
 
 #: registry — the InvertedIndexBackend analog

@@ -551,84 +551,53 @@ class Bm25Index:
             doc, score = doc[mask], score[mask]
         return rank_topk(doc, score, k, rank_round)
 
-    def _block_docs_tfs(self, run: dict, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decode ONE 128-doc block out of a ``run_blocks`` run (independent
-        random access). Block byte-offsets were recorded by the codec that
-        wrote the index, so slices decode with that same codec."""
-        from .codec import get_codec
-
-        cdc = get_codec(self.reader.codec_name)
-        last, d_off, t_off = run["block_last_doc"], run["block_doc_off"], run["block_tf_off"]
-        nb = len(last)
-        d1 = int(d_off[b])
-        d2 = int(d_off[b + 1]) if b + 1 < nb else len(run["doc_ids_enc"])
-        t1 = int(t_off[b])
-        t2 = int(t_off[b + 1]) if b + 1 < nb else len(run["tfs_enc"])
-        # block value count disambiguates the wire format for block codecs
-        # (a full 128-block is bit-packed; a short tail is varint)
-        n_vals = min(128, int(run["df"]) - b * 128)
-        deltas = cdc.decode_block(run["doc_ids_enc"][d1:d2], n_vals).astype(np.int64)
-        base = 0 if b == 0 else int(last[b - 1])
-        docs = base + np.cumsum(deltas)
-        tfs = cdc.decode_block(run["tfs_enc"][t1:t2], n_vals).astype(np.int64)
-        return docs, tfs
-
     def conjunctive_topk(
         self, query_text: str, k: int, rank_round: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """AND-semantics top-k: only docs containing ALL query terms.
 
         The DefaultTargetAssembler iterative-intersection analog (J2,
-        :79-112): terms processed rarest-first (O1 informativeness ordering),
-        candidate set shrinks via sorted intersection, EARLY EXIT the moment it
-        empties (:108-111); survivors then scored exactly like ``topk``."""
+        :79-112): candidates from :meth:`_conjunctive_candidates`, then the
+        survivors scored from the same postings exactly like ``topk``
+        (ascending-term accumulation)."""
         self._queries_served += 1
         terms = sorted(set(self._terms(query_text)))
-        if not terms:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        candidates, partial = self._conjunctive_candidates(terms)
+        candidates, post = self._conjunctive_candidates(terms)
         if len(candidates) == 0:
-            return empty
-        # exact scoring of survivors from the partial decodes, ascending-term
-        # accumulation exactly as in topk (bit-identical to full-decode path)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         dl = self.dl(candidates)
         acc = np.zeros(len(candidates), dtype=np.float64)
         for t in terms:
-            doc, tf = partial[t]
-            sel = np.searchsorted(doc, candidates)
-            # self.idf reads the true df, not the partial-decode length
-            acc += bm25_contrib(self.idf(t), tf[sel], dl, self.avgdl)
+            doc, tf = post[t]
+            acc += bm25_contrib(self.idf(t), tf[np.searchsorted(doc, candidates)], dl, self.avgdl)
         return rank_topk(candidates, acc, k, rank_round)
 
     def _conjunctive_candidates(
         self, terms: list[str]
     ) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
-        """Docs containing ALL terms + the partial decodes used to prove it.
+        """Docs containing ALL terms + each visited term's cached postings.
 
-        Seed: the rarest posting IS the initial candidate set (full decode);
-        every later term is probed at BLOCK granularity — only the one block
-        per candidate whose docID range can contain it is decoded (a skip-
-        pointer probe over the per-block last docIDs; candidates
-        shrink rarest-first with early exit, DefaultTargetAssembler:79-112)."""
+        Rarest-first (O1 informativeness ordering): the rarest term's
+        postings are the initial candidates, each later term's postings cut
+        them by a sorted intersection, with EARLY EXIT the moment the set
+        empties (DefaultTargetAssembler:79-112)."""
         empty = np.empty(0, dtype=np.int64)
         by_rarity = sorted(terms, key=lambda t: (self.reader.df(t), t))
         if not by_rarity or self.reader.df(by_rarity[0]) == 0:
             return empty, {}
-        candidates, seed_tf = self.reader.postings(by_rarity[0])
-        partial: dict[str, tuple[np.ndarray, np.ndarray]] = {
-            by_rarity[0]: (candidates, seed_tf)
-        }
-        for t in by_rarity[1:]:
-            doc, tf = self._probe_blocks(t, candidates)
-            partial[t] = (doc, tf)
-            if len(doc) == 0:
-                return empty, partial
-            pos = np.minimum(np.searchsorted(doc, candidates), len(doc) - 1)
-            candidates = candidates[doc[pos] == candidates]
-            if len(candidates) == 0:  # early exit: no doc can match
-                return empty, partial
-        return candidates, partial
+        post: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        candidates = None
+        for t in by_rarity:
+            post[t] = self.reader.postings(t)
+            doc = post[t][0]
+            if candidates is None or not len(doc):
+                candidates = doc
+            else:
+                at = np.minimum(np.searchsorted(doc, candidates), len(doc) - 1)
+                candidates = candidates[doc[at] == candidates]
+            if not len(candidates):  # early exit: no doc can match
+                return empty, post
+        return candidates, post
 
     def phrase_match(self, phrase_text: str) -> tuple[np.ndarray, np.ndarray]:
         """Exact-phrase matching over a POSITIONAL index (J4 analog: the
@@ -636,10 +605,11 @@ class Bm25Index:
         payloads, domain/result/TargetStructure.java:78-111; ours consumes
         per-occurrence token positions).
 
-        Candidates come from the conjunctive block-skip intersection of the
-        phrase's distinct terms; each survivor is verified positionally:
-        intersect term_i's positions shifted by -i across the phrase — the
-        surviving offsets are the phrase start positions. Returns
+        Candidates come from the rarest-first intersection of the phrase's
+        distinct terms' postings (:meth:`_conjunctive_candidates`); each
+        survivor is verified positionally: intersect term_i's positions
+        shifted by -i across the phrase — the surviving offsets are the
+        phrase start positions. Returns
         (doc_ids ascending, n_matches per doc), integer-exact."""
         seq = self._terms(phrase_text)
         if not seq:
@@ -713,7 +683,7 @@ class Bm25Index:
         Returns (doc_ids ascending, n_pairs per doc) where n_pairs counts
         position pairs (i of ``term_a``, j of ``term_b``) with
         ``0 < j - i <= window`` when ``ordered`` else ``|j - i| <= window``.
-        Candidates come from the conjunctive block-skip intersection; pair
+        Candidates come from :meth:`_conjunctive_candidates`; pair
         counting is two vectorized searchsorted sweeps per doc. Integer-exact.
         """
         ta, tb = self._terms(term_a), self._terms(term_b)
@@ -2115,32 +2085,6 @@ class Bm25Index:
         doc = np.unique(np.concatenate(arrs))
         grp = np.searchsorted(self._conv_starts(), doc, side="right") - 1
         return int(len(doc)), int(len(np.unique(grp)))
-
-    def _probe_blocks(
-        self, term: str, candidates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Partial posting covering every candidate that term could contain:
-        decodes ONLY the blocks whose docID range intersects ``candidates``
-        (or reuses the full decoded posting if it is already LRU-cached)."""
-        cached = self.reader._post_cache.get(term)
-        if cached is not None:
-            return cached
-        docs_l, tfs_l = [], []
-        for run in self.reader.run_blocks(term):
-            last = run["block_last_doc"]
-            if not len(last):
-                continue
-            bidx = np.searchsorted(last, candidates, side="left")
-            for b in np.unique(bidx[bidx < len(last)]):
-                d, t_ = self._block_docs_tfs(run, int(b))
-                docs_l.append(d)
-                tfs_l.append(t_)
-        if not docs_l:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        doc = np.concatenate(docs_l)
-        tf = np.concatenate(tfs_l)
-        order = np.argsort(doc, kind="stable")
-        return doc[order], tf[order]
 
     def topk_table(
         self,

@@ -50,9 +50,6 @@ SEGMENT_SCHEMA = pa.schema(
         pa.field("cf", pa.int64()),  # total tf in this run
         pa.field("doc_ids_enc", pa.binary()),  # delta+LEB128 varint
         pa.field("tfs_enc", pa.binary()),  # LEB128 varint
-        pa.field("block_last_doc", pa.list_(pa.int64())),  # skip pointers
-        pa.field("block_doc_off", pa.list_(pa.int32())),  # byte offset of block in doc payload
-        pa.field("block_tf_off", pa.list_(pa.int32())),  # byte offset of block in tf payload
     ]
 )
 
@@ -78,9 +75,6 @@ DOCMAP_SCHEMA = pa.schema(
 
 BM25_K1 = 1.2
 BM25_B = 0.75
-
-#: docs per block for skip pointers.
-BLOCK_SIZE = 128
 
 #: tokenizer contract (shared verbatim with the DuckDB oracle SQL):
 #: lowercase, split on runs of non-[a-z0-9], drop empties.

@@ -1,4 +1,4 @@
-"""Segment files: packed, sorted, skip-pointer-annotated posting lists.
+"""Segment files: packed, sorted posting lists.
 
 The ffindex-bundle analog (DefaultInvertedIndex.java:62-66, README.md:155-173
 of the reference): many posting lists coalesced into FEW large files — here one
@@ -41,7 +41,7 @@ import pyarrow.parquet as pq
 
 from . import state
 from .codec import get_codec
-from .schema import BLOCK_SIZE, POSITIONAL_SEGMENT_SCHEMA, SEGMENT_SCHEMA
+from .schema import POSITIONAL_SEGMENT_SCHEMA, SEGMENT_SCHEMA
 
 
 def _binary_from_stream(flat: bytes, group_ends: np.ndarray) -> pa.Array:
@@ -163,43 +163,13 @@ def encode_bucket(
     df = (ends - starts).astype(np.int64)
     cf = np.add.reduceat(tf, starts).astype(np.int64)
 
-    # block annotations: skip pointer (last doc) per block.
-    # Block coordinates derive from per-GROUP arithmetic (~n/BLOCK_SIZE
-    # entries), never from n-length row arrays.
-    nblocks = ((df + (BLOCK_SIZE - 1)) // BLOCK_SIZE).astype(np.int64)
-    b_offsets = np.empty(len(starts) + 1, dtype=np.int32)
-    b_offsets[0] = 0
-    np.cumsum(nblocks, out=b_offsets[1:])
-    b_group = np.repeat(np.arange(len(starts), dtype=np.int64), nblocks)
-    b_idx = np.arange(int(b_offsets[-1]), dtype=np.int64) - np.repeat(
-        b_offsets[:-1].astype(np.int64), nblocks
-    )
-    b_starts = starts[b_group] + b_idx * BLOCK_SIZE
-    b_last = np.minimum(b_starts + BLOCK_SIZE - 1, ends[b_group] - 1)
-    block_last_doc = pa.ListArray.from_arrays(pa.array(b_offsets), pa.array(doc[b_last], pa.int64()))
-
     # stream encode (the BucketCodec seam, VERDICT r2 #8 / r3 #7): the codec
-    # produces each group's self-describing blob AND the byte offset of every
-    # 128-aligned block inside it (probe rows = b_starts; BLOCK_SIZE == the
-    # pfor block size, so skip blocks are codec-block-aligned by design).
+    # produces each group's self-describing blob, tiling one flat buffer.
     # Per-value codecs (varint/raw64) implement this with one flat encode +
-    # contiguous slicing — identical bytes to the old nbytes/_pack_binary
-    # path; block codecs (pfor) own their block layout.
+    # contiguous slicing; block codecs (pfor) own their block layout.
     cdc = get_codec(codec)
-    doc_flat, doc_gends, doc_off = cdc.encode_stream(
-        deltas, starts, probe_rows=b_starts, probe_gids=b_group
-    )
-    tf_flat, tf_gends, tf_off = cdc.encode_stream(
-        tf.astype(np.uint64), starts, probe_rows=b_starts, probe_gids=b_group
-    )
-    doc_ids_enc = _binary_from_stream(doc_flat, doc_gends)
-    tfs_enc = _binary_from_stream(tf_flat, tf_gends)
-    block_doc_off = pa.ListArray.from_arrays(
-        pa.array(b_offsets), pa.array(doc_off.astype(np.int32), pa.int32())
-    )
-    block_tf_off = pa.ListArray.from_arrays(
-        pa.array(b_offsets), pa.array(tf_off.astype(np.int32), pa.int32())
-    )
+    doc_flat, doc_gends, _ = cdc.encode_stream(deltas, starts)
+    tf_flat, tf_gends, _ = cdc.encode_stream(tf.astype(np.uint64), starts)
 
     cols = {
         # one string gather per GROUP (1.6k), not per row (3.3M)
@@ -207,11 +177,8 @@ def encode_bucket(
         "run": pa.array(salt[starts], pa.int32()),
         "df": pa.array(df),
         "cf": pa.array(cf),
-        "doc_ids_enc": doc_ids_enc,
-        "tfs_enc": tfs_enc,
-        "block_last_doc": block_last_doc,
-        "block_doc_off": block_doc_off,
-        "block_tf_off": block_tf_off,
+        "doc_ids_enc": _binary_from_stream(doc_flat, doc_gends),
+        "tfs_enc": _binary_from_stream(tf_flat, tf_gends),
     }
     if has_pos:
         # positional payload (ArrayBucket.identifierData analog): each run's
@@ -351,9 +318,6 @@ class SegmentReadError(RuntimeError):
         self.path = path
 
 
-BLOCK_COLUMNS = ("doc_ids_enc", "tfs_enc", "block_last_doc", "block_doc_off", "block_tf_off")
-
-
 def empty_rows(columns: tuple[str, ...]) -> pa.Table:
     """Zero segment rows with ``part``, ``row``, ``df`` and ``columns``."""
     fields = [pa.field("part", pa.int64()), pa.field("row", pa.int64()), pa.field("df", pa.int64())]
@@ -363,7 +327,7 @@ def empty_rows(columns: tuple[str, ...]) -> pa.Table:
 
 class RunView:
     """The decoding half of the read surface the scoring paths touch:
-    ``postings``, ``positions_lookup`` and ``run_blocks`` of a term, decoded
+    ``postings`` and ``positions_lookup`` of a term, decoded
     from the term's segment rows by :func:`decode_runs` and merged by doc id
     (each subclass adds its own ``df``).
     :class:`SegmentReader` reads the rows from the part files;
@@ -385,7 +349,6 @@ class RunView:
         # at a 3.3M-doc corpus re-decoded every head term per query)
         self.post_cache_max_entries = 64_000_000
         self._pos_cache: dict[str, tuple] = {}
-        self._blocks_cache: dict[str, list[dict]] = {}
         # query-side serving metrics (the per-partition lineage metrics'
         # read-path sibling): cheap int counters, read via
         # Bm25Index.metrics() / QueryService.metrics()
@@ -445,23 +408,6 @@ class RunView:
             out[j] = pos[bounds[r] : bounds[r + 1]]
         return out
 
-    def run_blocks(self, term: str) -> list[dict]:
-        """Per-run block-level access for the conjunctive block probe: one
-        dict per run of ``term`` with its ``part``, ``row``, ``df`` and
-        ``BLOCK_COLUMNS``, the block lists as int64 arrays (each 128-doc
-        block's last doc id and byte offsets inside the run's blobs).
-        Blocks decode independently: doc deltas within a run cumsum from
-        the PREVIOUS block's last doc (run start cumsums from 0 because the
-        first delta is stored absolute). Cached per term — converting ~10^4
-        block entries out of Arrow per query costs more than the probe."""
-        hit = self._blocks_cache.get(term)
-        if hit is None:
-            hit = self._blocks_cache[term] = [
-                {**r, **{n: np.asarray(r[n], dtype=np.int64) for n in BLOCK_COLUMNS[2:]}}
-                for r in self.term_rows(term, BLOCK_COLUMNS).to_pylist()
-            ]
-        return hit
-
 
 class SegmentReader(RunView):
     """Read-side of the bundle (DefaultInvertedIndex.select analog, :307-320).
@@ -504,7 +450,7 @@ class SegmentReader(RunView):
         self.codec_name = self.stats.get("postings_codec", "varint")
         # Column-lazy part access: the term->row index + df come from a
         # metadata-only parquet read; the binary payload columns (posting
-        # blobs, block metadata, positions) are read per column on first use.
+        # blobs, positions) are read per column on first use.
         # A replica that only routes / answers df never pulls a payload byte,
         # and a non-phrase workload never pulls ``pos_enc`` — the per-actor
         # resident set scales with the columns the workload touches, not the

@@ -183,9 +183,11 @@ def test_encode_bucket_rejects_duplicate_rows():
 def test_codec_seam_roundtrip_property(vals, n_groups):
     """Pluggable codec seam (VERDICT r2 #8, InvertedIndexBackend analog):
     every registered codec satisfies the STREAM contract — encode_stream
-    tiles the flat buffer with per-group self-describing blobs, every
-    128-aligned probe offset is a valid decode_block entry point, and
-    decode(blob) round-trips each group."""
+    tiles the flat buffer with per-group self-describing blobs, decode(blob)
+    round-trips each group, and decode_stream over the groups' binary column
+    returns every value in order with each blob's value count."""
+    import pyarrow as pa
+
     from engine.codec import CODECS
 
     a = np.array(vals, dtype=np.uint64)
@@ -195,32 +197,20 @@ def test_codec_seam_roundtrip_property(vals, n_groups):
         )
     ).astype(np.int64)
     ge = np.append(gs[1:], len(a))
-    probes, pgids = [], []
-    for g in range(len(gs)):
-        probes.extend(range(int(gs[g]), int(ge[g]), 128))
-        pgids.extend([g] * len(range(int(gs[g]), int(ge[g]), 128)))
-    probes = np.array(probes, dtype=np.int64)
-    pgids = np.array(pgids, dtype=np.int64)
     for name, cdc in CODECS.items():
-        flat, gends, poffs = cdc.encode_stream(a, gs, probe_rows=probes, probe_gids=pgids)
+        flat, gends, third = cdc.encode_stream(a, gs)
+        assert third is None, name
         assert int(gends[-1]) == len(flat) if len(gends) else len(flat) == 0, name
         gstarts_b = np.concatenate(([0], gends[:-1]))
-        pi = 0
+        blobs = []
         for g in range(len(gs)):
             blob = flat[int(gstarts_b[g]) : int(gends[g])]
             expect = a[int(gs[g]) : int(ge[g])]
             np.testing.assert_array_equal(cdc.decode(blob), expect, err_msg=name)
-            # block-level entry points
-            for j in range(0, len(expect), 128):
-                n_vals = min(128, len(expect) - j)
-                off = int(poffs[pi])
-                pi += 1
-                end = int(poffs[pi]) if j + 128 < len(expect) else len(blob)
-                np.testing.assert_array_equal(
-                    cdc.decode_block(blob[off:end], n_vals),
-                    expect[j : j + n_vals],
-                    err_msg=f"{name} block {g}/{j}",
-                )
+            blobs.append(blob)
+        got, counts = cdc.decode_stream(pa.array(blobs, pa.binary()))
+        np.testing.assert_array_equal(got, a, err_msg=name)
+        np.testing.assert_array_equal(counts, ge - gs, err_msg=name)
 
 
 def test_pfor_block_layout_and_sizes():

@@ -13,11 +13,17 @@ Queries repeat terms, mix in absent terms, and ask for k in {1, 10, > n_docs}.
 Every postings codec is covered, and every index state the update path can
 produce: a fresh build, then ADD (with one modified doc, so the purge path
 runs too), REMOVE, ``compact_index`` and ``merge_indexes``.
+
+The positional surfaces (phrase, proximity, span_near, span_not) are held to
+brute-force token scans, counts exact, on a corpus whose frequent terms span
+several 128-doc blocks per run, with repeated tokens and a rare seed term.
 """
 
 import numpy as np
 import pyarrow as pa
 import pytest
+
+from test_positional_expansion import _oracle_phrase, _oracle_proximity, _oracle_span3
 
 from engine import oracle
 from engine.tokenize import tokenize_text
@@ -127,14 +133,14 @@ def _check(index_dir: str, docs: dict[int, str], rng, label: str) -> None:
         _same(bm.expanded_topk([[t] for t in live], k), want, (label, "slot", text, k))
 
 
-def _build(docs, index_dir, codec):
+def _build(docs, index_dir, codec, positions=False):
     import ray.data
 
     from engine.build import build_index
 
     build_index(ray.data.from_arrow(_table(docs)), index_dir, id_col="doc_id",
                 n_buckets=4, n_salts=2, hot_fraction=0.05, postings_codec=codec,
-                resume=False)
+                resume=False, positions=positions)
 
 
 @pytest.mark.parametrize("codec,seed", [("varint", 11), ("pfor", 12), ("raw64", 13)])
@@ -181,18 +187,22 @@ def test_topk_matches_oracle_through_updates(ray_session, tmp_path, codec, seed)
 
 def _add_dropped_column(index_dir: str, part: int) -> None:
     """Rewrite one part as an older encoder wrote it: with the per-block
-    ``block_max_impact`` list column the segment schema no longer has."""
+    list columns the segment schema no longer has (one entry per 128-doc
+    block of each run), after ``tfs_enc``."""
     import pyarrow.parquet as pq
 
     from engine import state
 
     path = state.segment_path(index_dir, part)
     seg = pq.read_table(path)
-    last = seg["block_last_doc"].combine_chunks()
-    old = pa.ListArray.from_arrays(
-        last.offsets, pa.array(np.ones(len(last.values), np.float32)))
-    seg = seg.add_column(seg.schema.get_field_index("block_last_doc") + 1,
-                         "block_max_impact", old)
+    nblocks = (seg["df"].to_numpy() + 127) // 128
+    offsets = pa.array(np.concatenate(([0], np.cumsum(nblocks))).astype(np.int32))
+    at = seg.schema.get_field_index("tfs_enc") + 1
+    for name, typ in [("block_last_doc", pa.int64()), ("block_max_impact", pa.float32()),
+                      ("block_doc_off", pa.int32()), ("block_tf_off", pa.int32())]:
+        old = pa.ListArray.from_arrays(offsets, pa.array(np.zeros(int(nblocks.sum())), typ))
+        seg = seg.add_column(at, name, old)
+        at += 1
     pq.write_table(seg, path, row_group_size=16384)
     info = state.committed_parts(index_dir)[part]
     state.write_part_manifest(
@@ -200,12 +210,13 @@ def _add_dropped_column(index_dir: str, part: int) -> None:
 
 
 def test_writes_onto_parts_with_a_dropped_column(ray_session, tmp_path):
-    """ADD and merge concatenate existing parts with freshly encoded runs;
-    parts carrying a column the current schema dropped must not break them."""
+    """ADD and merge concatenate existing parts with freshly encoded runs,
+    REMOVE and ``compact_index`` decode and re-encode them; parts carrying
+    columns the current schema dropped must not break any of them."""
     import ray.data
 
     from engine import state
-    from engine.update import add_documents, merge_indexes
+    from engine.update import add_documents, compact_index, merge_indexes, remove_documents
 
     rng = np.random.default_rng(21)
     docs = dict(enumerate(_texts(rng, 300)))
@@ -229,14 +240,26 @@ def test_writes_onto_parts_with_a_dropped_column(ray_session, tmp_path):
     docs.update(other)
     _check(index_dir, docs, rng, "merge with old parts")
 
+    for p in state.committed_parts(index_dir):
+        _add_dropped_column(index_dir, p)
+    victims = sorted(rng.choice(sorted(docs), size=30, replace=False).tolist())
+    remove_documents(index_dir, doc_ids=victims)
+    for v in victims:
+        del docs[v]
+    _check(index_dir, docs, rng, "remove from old parts")
+
+    for p in state.committed_parts(index_dir):
+        _add_dropped_column(index_dir, p)
+    compact_index(index_dir)
+    _check(index_dir, docs, rng, "compact old parts")
+
 
 @pytest.mark.parametrize("codec", ["varint", "pfor"])
-def test_conjunctive_block_probe_matches_oracle(ray_session, tmp_path, codec):
+def test_conjunctive_rare_seed_matches_oracle(ray_session, tmp_path, codec):
     """``conjunctive_topk`` on fresh readers, where frequent terms span many
-    128-doc blocks and a rare term seeds the candidates: the block probe
-    decodes only some blocks of each frequent term, and the scores must
-    still equal the oracle's (idf from the true df, not from the partial
-    decode)."""
+    128-doc blocks and a rare term seeds the candidates: the scores must
+    equal the oracle's. A cold query decodes each term's runs once and
+    counts them; a repeat is served from the postings cache."""
     from engine.query import Bm25Index
 
     rng = np.random.default_rng(31)
@@ -246,18 +269,133 @@ def test_conjunctive_block_probe_matches_oracle(ray_session, tmp_path, codec):
         words = [t for t in frequent if rng.random() < 0.6]
         words += [VOCAB[int(j)] for j in rng.integers(6, len(VOCAB), int(rng.integers(1, 12)))]
         docs[i] = " ".join(rng.permutation(words).tolist())
-    for i in (600, 603, 610, 641, 655):  # one id range: most blocks skipped
+    for i in (600, 603, 610, 641, 655):  # a rare term within one id range
         docs[i] += " zqrare " + " ".join(frequent[: 2 + i % 4])
     index_dir = str(tmp_path / "idx")
     _build(docs, index_dir, codec)
     idx = oracle.build_oracle_index(list(docs), list(docs.values()))
-
-    bm = Bm25Index(index_dir)
-    _, partial = bm._conjunctive_candidates(["t000", "zqrare"])
-    assert len(partial["t000"][0]) < bm.reader.df("t000"), "probe skipped no block"
 
     queries = [f"zqrare {t}" for t in frequent] + ["zqrare t000 t001 t002", "t003 t004 zqrare t005"]
     for text in queries:
         for k in (1, 3, 10):
             got = Bm25Index(index_dir).conjunctive_topk(text, k)  # cold cache
             _same(got, _conjunctive_oracle(idx, text, k), (codec, text, k))
+
+    # every term's runs are decoded once and counted, then served from cache
+    text = "zqrare t000 t001 t002"
+    bm = Bm25Index(index_dir)
+    runs = sum(bm.reader.term_rows(t, ()).num_rows for t in tokenize_text(text))
+    bm.conjunctive_topk(text, 10)
+    assert bm.reader.metrics["runs_decoded"] == runs
+    hits = bm.reader.metrics["postings_cache_hits"]
+    bm.conjunctive_topk(text, 10)
+    assert bm.reader.metrics["runs_decoded"] == runs
+    assert bm.reader.metrics["postings_cache_hits"] - hits == 4
+
+
+FREQUENT = VOCAB[:4]
+RARE = "zqrare"
+
+
+def _positional_texts(rng, n: int, first_id: int = 0) -> dict[int, str]:
+    """Token sequences where the four frequent terms fill most positions (so
+    each of their runs spans several 128-doc blocks), a third of the docs
+    hold a run of one repeated token, and a rare term sits in a handful of
+    docs spread over the id range next to the frequent ones."""
+    out = {}
+    for i in range(first_id, first_id + n):
+        n_tok = int(rng.integers(3, 40))
+        toks = [FREQUENT[int(rng.integers(4))] if rng.random() < 0.6
+                else VOCAB[int(rng.integers(4, 40))] for _ in range(n_tok)]
+        if rng.random() < 0.3:
+            at = int(rng.integers(len(toks) + 1))
+            toks[at:at] = [FREQUENT[int(rng.integers(2))]] * int(rng.integers(2, 5))
+        if i % 97 == 5:
+            at = int(rng.integers(len(toks) + 1))
+            toks[at:at] = [RARE, "t000", "t001", RARE, "t002", "t000", "t000"]
+        out[i] = " ".join(toks)
+    return out
+
+
+def _oracle_span_not(doc_tokens, inc, exc, dist):
+    out = {}
+    for d, toks in doc_tokens.items():
+        pb = [i for i, t in enumerate(toks) if t == exc]
+        n = sum(1 for i, t in enumerate(toks)
+                if t == inc and not any(abs(i - j) <= dist for j in pb))
+        if n:
+            out[d] = n
+    return out
+
+
+def _positional_cases(rng) -> list[tuple]:
+    """(surface, args, token-scan oracle, oracle args) rows: fixed phrases with
+    repeated tokens and the rare term, plus seeded random ones."""
+    pool = FREQUENT + [RARE, VOCAB[7]]
+
+    def pick(n):
+        return [str(t) for t in rng.choice(pool, size=n, replace=False)]
+
+    phrases = [["t000", "t000"], ["t000", "t000", "t000"], ["t001", "t000", "t001"],
+               [RARE, "t000", "t001"], ["t000", RARE], ["t002", "t000", "t000"]]
+    phrases += [[pool[int(j)] for j in rng.integers(len(pool), size=int(rng.integers(2, 4)))]
+                for _ in range(8)]
+    cases = [("phrase_match", (" ".join(p),), _oracle_phrase, (" ".join(p),)) for p in phrases]
+    for _ in range(10):
+        a, b = pick(2)
+        w, ordered = int(rng.integers(1, 7)), bool(rng.random() < 0.5)
+        cases.append(("proximity_match", (a, b, w, ordered), _oracle_proximity, (a, b, w, ordered)))
+        a, b = pick(2)
+        w = int(rng.integers(1, 7))
+        cases.append(("span_near", ([a, b], w), _oracle_proximity, (a, b, w, True)))
+        a, b, c = pick(3)
+        w = int(rng.integers(2, 9))
+        cases.append(("span_near", ([a, b, c], w), _oracle_span3, (a, b, c, w)))
+        a, b = pick(2)
+        dist = int(rng.integers(0, 4))
+        cases.append(("span_not", (a, b, dist), _oracle_span_not, (a, b, dist)))
+    return cases
+
+
+def _check_positional(index_dir: str, docs: dict[int, str], rng, label: str) -> None:
+    from engine.query import Bm25Index
+
+    doc_tokens = {d: tokenize_text(text) for d, text in docs.items()}
+    warm = Bm25Index(index_dir)
+    hits = 0
+    for name, args, scan, scan_args in _positional_cases(rng):
+        want = scan(doc_tokens, *scan_args)
+        hits += len(want)
+        for reader, how in ((Bm25Index(index_dir), "cold"), (warm, "warm")):
+            d, n = getattr(reader, name)(*args)
+            assert d.tolist() == sorted(want), (label, how, name, args)
+            assert n.tolist() == [want[x] for x in sorted(want)], (label, how, name, args)
+    assert hits > 0, label
+
+
+@pytest.mark.parametrize("codec,seed", [("varint", 41), ("pfor", 42)])
+def test_positional_surfaces_match_token_scans(ray_session, tmp_path, codec, seed):
+    """``phrase_match``, ``proximity_match`` (ordered and unordered),
+    ``span_near`` (2 and 3 terms) and ``span_not`` against brute-force token
+    scans, counts exact, on cold and warm readers: after a positional build
+    where each frequent term's runs span several 128-doc blocks, then after
+    an ADD (with one modified doc) that gives the queried terms delta runs."""
+    import ray.data
+
+    from engine.query import Bm25Index
+    from engine.update import add_documents
+
+    rng = np.random.default_rng(seed)
+    docs = _positional_texts(rng, 1200)
+    index_dir = str(tmp_path / "idx")
+    _build(docs, index_dir, codec, positions=True)
+    reader = Bm25Index(index_dir).reader
+    for t in FREQUENT:
+        assert int(reader.term_rows(t, ())["df"].to_numpy().max()) > 3 * 128, t
+    _check_positional(index_dir, docs, rng, "build")
+
+    added = _positional_texts(rng, 150, first_id=1200)
+    added[0] = f"{RARE} t000 t000 {RARE} t001"
+    add_documents(index_dir, ray.data.from_arrow(_table(added)), id_col="doc_id")
+    docs.update(added)
+    _check_positional(index_dir, docs, rng, "add")
